@@ -119,21 +119,14 @@ def test_query_cost_with_delta(benchmark, base, capsys):
     evaluator = DILEvaluator(index)
     query = ["late", "breaking"]
 
-    index.main.disk.reset_stats()
-    index.main.disk.drop_cache()
-    if index.delta is not None:
-        index.delta.disk.reset_stats()
-        index.delta.disk.drop_cache()
+    index.reset_measurement(cold_cache=True)
     benchmark.pedantic(lambda: evaluator.evaluate(query, m=10), rounds=1, iterations=1)
-    with_delta = index.main.disk.stats.page_reads + (
-        index.delta.disk.stats.page_reads if index.delta else 0
-    )
+    with_delta = index.disk.stats.page_reads
 
     index.merge()
-    index.main.disk.reset_stats()
-    index.main.disk.drop_cache()
+    index.reset_measurement(cold_cache=True)
     evaluator.evaluate(query, m=10)
-    compacted = index.main.disk.stats.page_reads
+    compacted = index.disk.stats.page_reads
 
     with capsys.disabled():
         print(f"\n  page reads with delta: {with_delta}; compacted: {compacted}")

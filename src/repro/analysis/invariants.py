@@ -143,7 +143,7 @@ def check_posting_lists(
                     continue
                 violations.extend(
                     _check_record_stream(
-                        _drain_raw(cursor), f"{kind} list {keyword!r}",
+                        cursor, f"{kind} list {keyword!r}",
                         dewey_sorted=True,
                     )
                 )
@@ -153,7 +153,7 @@ def check_posting_lists(
                 if cursor is not None:
                     violations.extend(
                         _check_record_stream(
-                            _drain_raw(cursor), f"rdil ranked list {keyword!r}",
+                            cursor, f"rdil ranked list {keyword!r}",
                             rank_sorted=True,
                         )
                     )
@@ -166,7 +166,7 @@ def check_posting_lists(
                 if cursor is not None:
                     violations.extend(
                         _check_record_stream(
-                            _drain_raw(cursor), f"hdil full list {keyword!r}",
+                            cursor, f"hdil full list {keyword!r}",
                             dewey_sorted=True,
                         )
                     )
@@ -174,7 +174,7 @@ def check_posting_lists(
                 if head is not None:
                     violations.extend(
                         _check_record_stream(
-                            _drain_raw(head), f"hdil ranked head {keyword!r}",
+                            head, f"hdil ranked head {keyword!r}",
                             rank_sorted=True,
                         )
                     )
@@ -197,15 +197,8 @@ def _sampled(index, sample: int) -> List[str]:
     return keywords[:sample]
 
 
-def _drain_raw(cursor) -> List[bytes]:
-    records: List[bytes] = []
-    while not cursor.eof:
-        records.append(cursor.next())
-    return records
-
-
 def _check_record_stream(
-    records: Sequence[bytes],
+    cursor,
     location: str,
     dewey_sorted: bool = False,
     rank_sorted: bool = False,
@@ -216,7 +209,8 @@ def _check_record_stream(
         violations.append(InvariantViolation("posting-lists", location, message))
 
     previous: Optional[Posting] = None
-    for raw in records:
+    while not cursor.eof:
+        raw = cursor.next()
         posting = Posting.decode(raw)
         if posting.encode() != raw:
             bad(f"posting at {posting.dewey} does not round-trip its encoding")

@@ -163,4 +163,4 @@ def generate_xmark(
     graph = CollectionGraph()
     graph.add_document(document)
     graph.finalize()
-    return Corpus("xmark", graph, [document], planted)
+    return Corpus("xmark", graph, [document], planted, [source])

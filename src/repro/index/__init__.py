@@ -14,7 +14,6 @@ from .naive import (
 from .postings import (
     Posting,
     PostingMap,
-    expand_to_naive_postings,
     extract_direct_postings,
     rank_order,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "SpaceReport",
     "decode_list_page",
     "expand_naive_postings",
-    "expand_to_naive_postings",
     "extract_direct_postings",
     "rank_order",
 ]

@@ -60,8 +60,13 @@ class KeywordIndex(ABC):
     #: short identifier used in reports ("dil", "rdil", ...).
     kind: str = "abstract"
 
-    def __init__(self, storage_params: Optional[StorageParams] = None):
-        self.disk = SimulatedDisk(storage_params)
+    def __init__(
+        self,
+        storage_params: Optional[StorageParams] = None,
+        disk: Optional[SimulatedDisk] = None,
+    ):
+        # An incremental index's delta is built on its main index's disk.
+        self.disk = disk or SimulatedDisk(storage_params)
         self.built = False
         self.deleted_docs: Set[int] = set()
         self._num_postings = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Optional
 
 from ..config import StorageParams
+from ..storage.disk import SimulatedDisk
 from ..storage.listfile import ListCursor, ListFile
 from .base import KeywordIndex
 from .postings import Posting, PostingMap
@@ -21,8 +22,12 @@ class DILIndex(KeywordIndex):
 
     kind = "dil"
 
-    def __init__(self, storage_params: Optional[StorageParams] = None):
-        super().__init__(storage_params)
+    def __init__(
+        self,
+        storage_params: Optional[StorageParams] = None,
+        disk: Optional[SimulatedDisk] = None,
+    ):
+        super().__init__(storage_params, disk)
         self.lists: Dict[str, ListFile] = {}
 
     def build(self, postings: PostingMap) -> None:

@@ -23,8 +23,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..config import HDILParams, StorageParams
 from ..errors import IndexError_
 from ..storage.btree import BTree
-from ..storage.listfile import ListCursor, ListFile
-from ..xmlmodel.dewey import DeweyId, decode_varint
+from ..storage.listfile import ListCursor, ListFile, page_records
+from ..xmlmodel.dewey import DeweyId
 from .base import KeywordIndex
 from .postings import Posting, PostingMap, rank_order
 
@@ -35,15 +35,14 @@ def decode_list_page(page: bytes) -> List[Tuple[DeweyId, bytes]]:
     This is the external-leaf decoder handed to the B+-tree: postings start
     with their Dewey ID, so the list page is self-describing.
     """
-    count, offset = decode_varint(page, 0)
-    entries: List[Tuple[DeweyId, bytes]] = []
-    for _ in range(count):
-        length, offset = decode_varint(page, offset)
-        record = page[offset : offset + length]
-        offset += length
-        dewey, _ = DeweyId.decode(record, 0)
-        entries.append((dewey, record))
-    return entries
+    return [
+        (DeweyId.decode(record, 0)[0], record) for record in page_records(page)
+    ]
+
+
+def decode_leaf_entry(_key: DeweyId, record: bytes) -> Posting:
+    """Decode one :func:`decode_list_page` entry: a complete posting record."""
+    return Posting.decode(record)
 
 
 class HDILIndex(KeywordIndex):

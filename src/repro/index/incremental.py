@@ -8,11 +8,13 @@ scheme for the Dewey family:
 
 * the **main** index is an ordinary bulk-built :class:`DILIndex`;
 * additions go to a **delta** :class:`DILIndex`, rebuilt from accumulated
-  postings (cheap — it covers only the new documents);
-* a query cursor chains main-then-delta.  Because document ids are assigned
-  monotonically, every delta Dewey ID is strictly greater than every main
-  Dewey ID, so the chained stream stays globally Dewey-ordered and the
-  standard single-pass merge works unchanged;
+  postings (cheap — it covers only the new documents) on the main index's
+  simulated disk, so one ``disk`` answers I/O totals, fault plans and
+  bytes used for the pair, like every other index kind;
+* a query cursor reads the main list file, then the delta's.  Because
+  document ids are assigned monotonically, every delta Dewey ID is strictly
+  greater than every main Dewey ID, so the cursor stays globally
+  Dewey-ordered and the standard single-pass merge works unchanged;
 * :meth:`merge` compacts everything into a fresh main index (also
   reclaiming tombstoned documents' postings).
 
@@ -30,6 +32,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..config import StorageParams
 from ..errors import IndexError_, IndexNotBuiltError
+from ..storage.disk import SimulatedDisk
 from ..storage.listfile import ListCursor
 from ..xmlmodel.dewey import DeweyId
 from ..xmlmodel.graph import CollectionGraph
@@ -72,40 +75,11 @@ def postings_for_documents(
     return extract_direct_postings(graph, scores)
 
 
-class ChainedCursor:
-    """Concatenates main and delta cursors (ListCursor interface)."""
-
-    def __init__(self, cursors: List[Optional[ListCursor]]):
-        self._cursors = [c for c in cursors if c is not None]
-        self._index = 0
-        self._skip_exhausted()
-
-    def _skip_exhausted(self) -> None:
-        while self._index < len(self._cursors) and self._cursors[self._index].eof:
-            self._index += 1
-
-    @property
-    def eof(self) -> bool:
-        return self._index >= len(self._cursors)
-
-    def peek(self) -> bytes:
-        """Head record without consuming it."""
-        if self.eof:
-            raise IndexError_("peek past end of chained cursor")
-        return self._cursors[self._index].peek()
-
-    def next(self) -> bytes:
-        """Consume and return the head record."""
-        record = self._cursors[self._index].next()
-        self._skip_exhausted()
-        return record
-
-
 class IncrementalDILIndex:
     """A DIL index that accepts document additions between full rebuilds.
 
     Duck-types the :class:`DILIndex` query surface (``cursor``,
-    ``has_keyword``, ``list_length``, ``deleted_docs``), so
+    ``has_keyword``, ``list_length``, ``deleted_docs``, ``disk``), so
     :class:`~repro.query.dil_eval.DILEvaluator` and
     :class:`~repro.query.disjunctive.DisjunctiveEvaluator` work on it
     unchanged.
@@ -114,7 +88,6 @@ class IncrementalDILIndex:
     kind = "dil-incremental"
 
     def __init__(self, storage_params: Optional[StorageParams] = None):
-        self._storage_params = storage_params
         self.main = DILIndex(storage_params)
         self.delta: Optional[DILIndex] = None
         self._delta_postings: PostingMap = {}
@@ -122,6 +95,15 @@ class IncrementalDILIndex:
         self.deleted_docs = self.main.deleted_docs
 
     # -- DILIndex surface ----------------------------------------------------------
+
+    @property
+    def disk(self) -> SimulatedDisk:
+        """The one simulated disk holding both main and delta."""
+        return self.main.disk
+
+    def reset_measurement(self, cold_cache: bool = True) -> None:
+        """Prepare for one measured query (see :class:`KeywordIndex`)."""
+        self.main.reset_measurement(cold_cache)
 
     @property
     def built(self) -> bool:
@@ -161,16 +143,15 @@ class IncrementalDILIndex:
         delta = len(self._delta_postings.get(keyword, ()))
         return self.main.list_length(keyword) + delta
 
-    def cursor(self, keyword: str) -> Optional[ChainedCursor]:
-        """Dewey-ordered cursor chaining main then delta."""
+    def cursor(self, keyword: str) -> Optional[ListCursor]:
+        """Dewey-ordered cursor over the main list, then the delta's."""
         self._require_built()
-        cursors = [self.main.cursor(keyword)]
-        if self.delta is not None:
-            cursors.append(self.delta.cursor(keyword))
-        chained = ChainedCursor(cursors)
-        if not chained.eof or self.has_keyword(keyword):
-            return chained
-        return None
+        files = [
+            index.lists[keyword]
+            for index in (self.main, self.delta)
+            if index is not None and keyword in index.lists
+        ]
+        return ListCursor(*files) if files else None
 
     def delete_document(self, doc_id: int) -> None:
         """Tombstone a document across main and delta."""
@@ -189,7 +170,7 @@ class IncrementalDILIndex:
 
         Document ids must exceed every id already indexed (the engine's
         monotone id assignment guarantees this); that invariant is what
-        keeps chained cursors Dewey-ordered.
+        keeps main-then-delta cursors Dewey-ordered.
         """
         self._require_built()
         if not documents:
@@ -210,8 +191,12 @@ class IncrementalDILIndex:
             len(documents),
             sum(len(v) for v in self._delta_postings.values()),
         )
-        # Rebuild the (small) delta index from the accumulated postings.
-        self.delta = DILIndex(self._storage_params)
+        # Rebuild the (small) delta index from the accumulated postings, on
+        # main's disk: the previous delta's pages are freed first so the
+        # rebuild reuses them and ``disk.bytes_used()`` stays main + delta.
+        if self.delta is not None:
+            self.delta.free_all_lists()
+        self.delta = DILIndex(disk=self.disk)
         self.delta.build(
             {k: sorted(v, key=lambda p: p.dewey.components)
              for k, v in self._delta_postings.items()}
@@ -235,11 +220,15 @@ class IncrementalDILIndex:
         for keyword in sorted(self.keywords()):
             postings: List[Posting] = [
                 p
-                for p in self._scan_all(keyword)
+                for index in (self.main, self.delta)
+                if index is not None
+                for p in index.scan(keyword)
                 if p.dewey.doc_id not in self.deleted_docs
             ]
             if postings:
                 combined[keyword] = postings
+        if self.delta is not None:
+            self.delta.free_all_lists()
         self.main.free_all_lists()
         self.main.build(combined)
         self.main.deleted_docs.clear()
@@ -248,16 +237,11 @@ class IncrementalDILIndex:
             "%d free pages remain",
             len(combined),
             self.main.inverted_list_bytes,
-            self.main.disk.num_free_pages,
+            self.disk.num_free_pages,
         )
         self.deleted_docs = self.main.deleted_docs
         self.delta = None
         self._delta_postings = {}
-
-    def _scan_all(self, keyword: str):
-        yield from self.main.scan(keyword)
-        if self.delta is not None:
-            yield from self.delta.scan(keyword)
 
     # -- accounting ------------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..storage.records import RecordReader, RecordWriter
 from ..xmlmodel.dewey import DeweyId
@@ -160,36 +160,6 @@ def extract_direct_postings(
     )
 
 
-def expand_to_naive_postings(
-    direct: PostingMap, elemranks: Dict[DeweyId, float]
-) -> PostingMap:
-    """Replicate every posting onto all ancestors (the naive index of 4.1).
-
-    For each keyword, every element that directly or indirectly contains it
-    receives a posting whose posList merges all descendant occurrences —
-    this is the redundancy the Dewey encoding eliminates.
-    """
-    naive: PostingMap = {}
-    for word, posting_list in direct.items():
-        merged: Dict[DeweyId, List[int]] = {}
-        for posting in posting_list:
-            merged.setdefault(posting.dewey, []).extend(posting.positions)
-            for ancestor in posting.dewey.ancestors():
-                merged.setdefault(ancestor, []).extend(posting.positions)
-        entries = []
-        for dewey in sorted(merged):
-            positions = tuple(sorted(merged[dewey]))
-            entries.append(Posting(dewey, elemranks.get(dewey, 0.0), positions))
-        naive[word] = entries
-    return naive
-
-
 def rank_order(postings: List[Posting]) -> List[Posting]:
     """Order postings by descending ElemRank, Dewey ID as the tiebreak."""
     return sorted(postings, key=lambda p: (-p.elemrank, p.dewey.components))
-
-
-def iter_decoded(records: Iterator[bytes]) -> Iterator[Posting]:
-    """Decode a raw record stream into postings."""
-    for record in records:
-        yield Posting.decode(record)

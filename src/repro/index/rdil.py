@@ -3,10 +3,11 @@
 Same postings as DIL, but each keyword's list is ordered by *descending
 ElemRank* so highly ranked entries surface first, and each list carries a
 B+-tree on the Dewey ID field for longest-common-prefix probes and subtree
-range scans.  Short lists' B+-trees are tiny single-leaf trees whose pages
-are shared (Section 4.3.1) — the space report charges them their exact
-bytes, not whole pages, via :class:`~repro.storage.btree.SharedPageWriter`
-semantics.
+range scans.  Short lists' B+-trees are tiny single-leaf trees; the paper
+packs several onto one shared page (Section 4.3.1), which the space report
+models by charging each tree its exact bytes, not whole pages
+(:attr:`~repro.storage.btree.BTree.index_bytes`) — pages are not physically
+shared.
 """
 
 from __future__ import annotations

@@ -19,10 +19,9 @@ from typing import List, Optional, Sequence
 from ..config import RankingParams
 from ..index.dil import DILIndex
 from ..obs import NOOP_SPAN
-from ..obs.profile import active_profile
-from .merge import conjunctive_merge
+from .merge import conjunctive_merge, single_keyword_top_m
 from .results import QueryResult, ResultHeap, validate_query
-from .streams import PostingStream
+from .streams import PostingStream, open_stream
 
 
 class DILEvaluator:
@@ -39,18 +38,6 @@ class DILEvaluator:
         self.params = params or RankingParams()
         self.list_cache = None
 
-    def _stream(self, keyword: str) -> PostingStream:
-        if self.list_cache is not None:
-            postings = _profiled_get_or_load(
-                self.list_cache,
-                (self.index.kind, "full", keyword),
-                lambda: _drain_cursor(self.index.cursor(keyword)),
-            )
-            return PostingStream.from_decoded(postings, self.index.deleted_docs)
-        return PostingStream.from_cursor(
-            self.index.cursor(keyword), self.index.deleted_docs
-        )
-
     def _traced_stream(self, keyword: str, span) -> PostingStream:
         """One keyword's stream, reporting its load I/O into ``span``.
 
@@ -66,7 +53,9 @@ class DILEvaluator:
                 if list_span.recording
                 else None
             )
-            stream = self._stream(keyword)
+            stream = open_stream(
+                self.index, "full", self.index.cursor, keyword, self.list_cache
+            )
             if before is not None:
                 list_span.attach_io(
                     self.index.disk.stats.delta_since(before)
@@ -94,9 +83,11 @@ class DILEvaluator:
         span = span or NOOP_SPAN
 
         if len(keywords) == 1:
-            scale = weights[0] if weights else 1.0
-            return self._evaluate_single(
-                keywords[0], m, scale, deadline, span=span
+            return single_keyword_top_m(
+                self._traced_stream(keywords[0], span),
+                m,
+                weights[0] if weights else 1.0,
+                deadline,
             )
 
         streams = [
@@ -111,65 +102,3 @@ class DILEvaluator:
         ):
             heap.add(result)
         return heap.results()
-
-    def _evaluate_single(
-        self, keyword: str, m: int, scale: float = 1.0, deadline=None,
-        span=NOOP_SPAN,
-    ) -> List[QueryResult]:
-        stream = self._traced_stream(keyword, span)
-        heap = ResultHeap(m)
-        while not stream.eof:
-            if deadline is not None and deadline.poll():
-                break
-            posting = stream.next()
-            heap.add(
-                QueryResult(
-                    rank=posting.elemrank * scale,
-                    dewey=posting.dewey,
-                    keyword_ranks=(posting.elemrank,),
-                )
-            )
-        return heap.results()
-
-
-def _profiled_get_or_load(cache, key, loader):
-    """``cache.get_or_load`` with per-query hit/miss attribution.
-
-    The generational cache's own counters are cumulative across every
-    query and thread; the active :class:`~repro.obs.profile.
-    QueryProfile` wants *this* query's share, so the miss is detected by
-    observing whether the loader actually ran.
-    """
-    profile = active_profile()
-    if profile is None:
-        return cache.get_or_load(key, loader)
-    loaded = []
-
-    def counting_loader():
-        loaded.append(True)
-        return loader()
-
-    value = cache.get_or_load(key, counting_loader)
-    if loaded:
-        profile.list_cache_misses += 1
-    else:
-        profile.list_cache_hits += 1
-    return value
-
-
-def _drain_cursor(cursor) -> List:
-    """Decode a whole inverted list (the posting-list cache's loader).
-
-    Deliberately deadline-free: a partially drained list must never land
-    in the generational cache (later queries would silently see a
-    truncated index), so the loader runs to completion and the *consumer*
-    of the cached list polls the deadline instead.
-    """
-    from ..index.postings import Posting
-
-    postings: List = []
-    if cursor is None:
-        return postings
-    while not cursor.eof:  # repro: ignore[deadline-discipline]
-        postings.append(Posting.decode(cursor.next()))
-    return postings

@@ -25,7 +25,7 @@ from ..errors import QueryError
 from ..index.dil import DILIndex
 from ..index.hdil import HDILIndex
 from ..ranking.proximity import proximity
-from .results import QueryResult, ResultHeap
+from .results import QueryResult, ResultHeap, validate_query
 from .streams import PostingStream, smallest_head_index
 
 
@@ -90,12 +90,7 @@ class DisjunctiveEvaluator:
         span=None,
     ) -> List[QueryResult]:
         """Top-m disjunctive results for the keywords."""
-        if not keywords:
-            raise QueryError("a keyword query needs at least one keyword")
-        if m < 1:
-            raise QueryError("m must be at least 1")
-        if weights is not None and len(weights) != len(keywords):
-            raise QueryError("one weight per keyword is required")
+        validate_query(keywords, m, weights)
         self.index._require_built()
         streams = [
             PostingStream.from_cursor(

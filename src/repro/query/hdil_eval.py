@@ -26,15 +26,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..config import HDILParams, RankingParams
-from ..index.hdil import HDILIndex
-from ..index.postings import Posting
+from ..index.hdil import HDILIndex, decode_leaf_entry
 from ..obs import NOOP_SPAN
-from ..xmlmodel.dewey import DeweyId
-from .dil_eval import _drain_cursor, _profiled_get_or_load
-from .merge import conjunctive_merge
+from .merge import conjunctive_merge, single_keyword_top_m
 from .rdil_eval import ProbeLoopState, RankedProbeLoop
 from .results import QueryResult, ResultHeap, validate_query
-from .streams import PostingStream
+from .streams import PostingStream, open_stream
 
 
 @dataclass
@@ -47,11 +44,6 @@ class HDILTrace:
     rdil_entries_read: int = 0
     rdil_cost_ms: float = 0.0
     dil_expected_ms: float = 0.0
-
-
-def _full_record_decoder(_key: DeweyId, record: bytes) -> Posting:
-    """HDIL's external B+-tree leaves hold complete posting records."""
-    return Posting.decode(record)
 
 
 class HDILEvaluator:
@@ -71,27 +63,14 @@ class HDILEvaluator:
         self.list_cache = None
 
     def _full_stream(self, keyword: str) -> PostingStream:
-        if self.list_cache is not None:
-            postings = _profiled_get_or_load(
-                self.list_cache,
-                (self.index.kind, "full", keyword),
-                lambda: _drain_cursor(self.index.full_cursor(keyword)),
-            )
-            return PostingStream.from_decoded(postings, self.index.deleted_docs)
-        return PostingStream.from_cursor(
-            self.index.full_cursor(keyword), self.index.deleted_docs
+        return open_stream(
+            self.index, "full", self.index.full_cursor, keyword, self.list_cache
         )
 
     def _ranked_stream(self, keyword: str) -> PostingStream:
-        if self.list_cache is not None:
-            postings = _profiled_get_or_load(
-                self.list_cache,
-                (self.index.kind, "ranked", keyword),
-                lambda: _drain_cursor(self.index.ranked_cursor(keyword)),
-            )
-            return PostingStream.from_decoded(postings, self.index.deleted_docs)
-        return PostingStream.from_cursor(
-            self.index.ranked_cursor(keyword), self.index.deleted_docs
+        return open_stream(
+            self.index, "ranked", self.index.ranked_cursor, keyword,
+            self.list_cache,
         )
 
     def evaluate(
@@ -156,7 +135,7 @@ class HDILEvaluator:
         loop = RankedProbeLoop(
             streams,
             btrees,
-            entry_decoder=_full_record_decoder,
+            entry_decoder=decode_leaf_entry,
             params=self.params,
             deleted_docs=self.index.deleted_docs,
             truncated_streams=True,
@@ -279,39 +258,22 @@ class HDILEvaluator:
         self, keyword: str, m: int, scale: float = 1.0, deadline=None
     ) -> List[QueryResult]:
         """One keyword: the ranked head serves the top-m directly."""
-        stream = self._ranked_stream(keyword)
-        results: List[QueryResult] = []
-        while not stream.eof and len(results) < m:
-            if deadline is not None and deadline.poll():
-                return results
-            posting = stream.next()
-            results.append(
-                QueryResult(
-                    rank=posting.elemrank * scale,
-                    dewey=posting.dewey,
-                    keyword_ranks=(posting.elemrank,),
-                )
-            )
-        if len(results) == m or self.index.head_length(keyword) == self.index.list_length(keyword):
+        results = single_keyword_top_m(
+            self._ranked_stream(keyword), m, scale, deadline, rank_ordered=True
+        )
+        if (
+            len(results) == m
+            or self.index.head_length(keyword) == self.index.list_length(keyword)
+            or (deadline is not None and deadline.poll())
+        ):
             return results
         # The truncated head could not fill m results: fall back to a full
         # scan (rare: m larger than the replicated fraction).
         self.last_trace.switched_to_dil = True
         self.last_trace.switch_reason = "ranked head shorter than m"
-        full = self._full_stream(keyword)
-        heap = ResultHeap(m)
-        while not full.eof:
-            if deadline is not None and deadline.poll():
-                break
-            posting = full.next()
-            heap.add(
-                QueryResult(
-                    rank=posting.elemrank * scale,
-                    dewey=posting.dewey,
-                    keyword_ranks=(posting.elemrank,),
-                )
-            )
-        return heap.results()
+        return single_keyword_top_m(
+            self._full_stream(keyword), m, scale, deadline
+        )
 
     # -- cost estimation --------------------------------------------------------------------
 

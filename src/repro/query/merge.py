@@ -35,7 +35,7 @@ from ..obs.profile import active_profile
 from ..ranking.proximity import proximity as proximity_of
 from ..ranking.scoring import overall_rank
 from ..xmlmodel.dewey import DeweyId
-from .results import QueryResult
+from .results import QueryResult, ResultHeap
 from .streams import PostingStream, smallest_head_index
 
 
@@ -186,3 +186,34 @@ def conjunctive_merge(
         result = pop_and_maybe_yield()
         if result is not None:
             yield result
+
+
+def single_keyword_top_m(
+    stream: PostingStream,
+    m: int,
+    scale: float = 1.0,
+    deadline=None,
+    rank_ordered: bool = False,
+) -> List[QueryResult]:
+    """Top-m of a one-keyword query — the paper's "(simple) special case".
+
+    Every posting is its own most-specific result with rank ``ElemRank``
+    (proximity of one keyword is 1) times the keyword's weight ``scale``, so
+    the merge reduces to a top-m selection.  A Dewey-ordered list is scanned
+    to its end; a ``rank_ordered`` one lists the best first, so its first m
+    live entries are the answer.  On ``deadline`` expiry the partial top-m
+    found so far is returned.
+    """
+    heap = ResultHeap(m)
+    while not stream.eof and not (rank_ordered and heap.full):
+        if deadline is not None and deadline.poll():
+            break
+        posting = stream.next()
+        heap.add(
+            QueryResult(
+                rank=posting.elemrank * scale,
+                dewey=posting.dewey,
+                keyword_ranks=(posting.elemrank,),
+            )
+        )
+    return heap.results()

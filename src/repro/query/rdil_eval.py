@@ -31,7 +31,7 @@ from ..index.rdil import RDILIndex
 from ..obs.profile import active_profile
 from ..storage.btree import BTree
 from ..xmlmodel.dewey import DeweyId
-from .merge import conjunctive_merge
+from .merge import conjunctive_merge, single_keyword_top_m
 from .results import QueryResult, ResultHeap, validate_query
 from .streams import PostingStream
 
@@ -205,12 +205,12 @@ class RankedProbeLoop:
                 self.entry_decoder(key, payload)
                 for key, payload in self.btrees[j].scan_subtree(lcp)
             ]
-            postings = [
-                p for p in postings if p.dewey.doc_id not in self.deleted_docs
-            ]
-            if not postings:
+            if self._profile is not None:
+                self._profile.postings_decoded += len(postings)
+            stream = PostingStream(postings, self.deleted_docs)
+            if stream.eof:
                 return None
-            subtree_streams.append(PostingStream.from_postings(postings))
+            subtree_streams.append(stream)
         for result in conjunctive_merge(
             subtree_streams, self.params, self.weights, deadline=deadline
         ):
@@ -244,16 +244,21 @@ class RDILEvaluator:
 
         if any(not self.index.has_keyword(k) for k in keywords):
             return []
-        if len(keywords) == 1:
-            scale = weights[0] if weights else 1.0
-            return self._evaluate_single(keywords[0], m, scale, deadline)
-
         streams = [
             PostingStream.from_cursor(
                 self.index.ranked_cursor(keyword), self.index.deleted_docs
             )
             for keyword in keywords
         ]
+        if len(keywords) == 1:
+            # The first m live entries of the ranked list are the top-m.
+            return single_keyword_top_m(
+                streams[0],
+                m,
+                weights[0] if weights else 1.0,
+                deadline,
+                rank_ordered=True,
+            )
         btrees = [self.index.btree(keyword) for keyword in keywords]
         loop = RankedProbeLoop(
             streams,
@@ -266,25 +271,4 @@ class RDILEvaluator:
         results, _completed = loop.run(
             m, exhaustion_is_complete=True, deadline=deadline
         )
-        return results
-
-    def _evaluate_single(
-        self, keyword: str, m: int, scale: float = 1.0, deadline=None
-    ) -> List[QueryResult]:
-        """Top-m of a one-keyword query: the first m live ranked entries."""
-        stream = PostingStream.from_cursor(
-            self.index.ranked_cursor(keyword), self.index.deleted_docs
-        )
-        results: List[QueryResult] = []
-        while not stream.eof and len(results) < m:
-            if deadline is not None and deadline.poll():
-                break
-            posting = stream.next()
-            results.append(
-                QueryResult(
-                    rank=posting.elemrank * scale,
-                    dewey=posting.dewey,
-                    keyword_ranks=(posting.elemrank,),
-                )
-            )
         return results

@@ -8,7 +8,7 @@ equivalent substrate, instrumented so queries can be measured in simulated
 I/O cost independent of the host machine.
 """
 
-from .btree import BTree, MutableBTree, SharedPageWriter
+from .btree import BTree, MutableBTree
 from .disk import BufferPool, SimulatedDisk
 from .hashindex import HashIndex
 from .iostats import IOStats
@@ -25,7 +25,6 @@ __all__ = [
     "ListFile",
     "RecordReader",
     "RecordWriter",
-    "SharedPageWriter",
     "SimulatedDisk",
     "frame_record",
     "pack_into_pages",

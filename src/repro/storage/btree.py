@@ -5,7 +5,8 @@ the *longest-common-prefix* probe RDIL needs, and because two space
 optimizations were impossible:
 
 1. storing several B+-trees over short inverted lists on one shared disk
-   page (Section 4.3.1) — supported here through :class:`SharedPageWriter`;
+   page (Section 4.3.1) — modelled here as exact-byte space accounting
+   (:attr:`BTree.index_bytes`); pages are not physically shared;
 2. reusing a Dewey-ordered inverted list as the tree's leaf level so HDIL
    only pays for internal nodes (Section 4.4.1) — supported through
    *external leaves*: the tree is bulk-loaded over existing list pages and
@@ -97,7 +98,6 @@ class BTree:
         leaf_bytes: int,
         leaf_pages: List[int],
         leaf_decoder: Optional[LeafDecoder] = None,
-        shared_leaf: bool = False,
     ):
         self.disk = disk
         self.root_page = root_page
@@ -107,7 +107,6 @@ class BTree:
         self.leaf_bytes = leaf_bytes
         self.leaf_pages = leaf_pages
         self.leaf_decoder = leaf_decoder
-        self.shared_leaf = shared_leaf
 
     # -- construction -----------------------------------------------------------
 
@@ -360,32 +359,6 @@ def _build_internal_levels(
         level = next_level
         height += 1
     return level[0][1], height, internal_bytes
-
-
-class SharedPageWriter:
-    """Packs multiple small blobs (tiny B+-trees) onto shared disk pages.
-
-    The paper's Section 4.3.1 optimization: "we store multiple B+-trees
-    (over short inverted lists) on the same disk page".  Callers hand in a
-    blob and get back the page id holding it; blobs never span pages.  Space
-    accounting can then charge each index only for the bytes it occupies
-    rather than a whole page.
-    """
-
-    def __init__(self, disk: SimulatedDisk):
-        self.disk = disk
-        self._open_page: int = -1
-        self._used = 0
-
-    def place(self, blob: bytes) -> int:
-        """Pack a blob onto the open shared page; returns its page id."""
-        if len(blob) > self.disk.page_size:
-            raise BTreeError("blob larger than one page cannot be shared")
-        if self._open_page < 0 or self._used + len(blob) > self.disk.page_size:
-            self._open_page = self.disk.allocate(b"")
-            self._used = 0
-        self._used += len(blob)
-        return self._open_page
 
 
 class MutableBTree:

@@ -9,9 +9,11 @@ defines their content.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional
 
 from ..errors import StorageError
+from ..xmlmodel.dewey import decode_varint, encode_varint
 from .disk import SimulatedDisk
 from .records import pack_into_pages, unpack_page
 
@@ -72,70 +74,57 @@ class ListFile:
     def scan(self) -> Iterator[bytes]:
         """Yield every record in order, charging sequential page reads."""
         for page_id in self.page_ids:
-            page = self.disk.read(page_id)
-            count, reader = unpack_page(page)
-            start = reader.offset
-            body = page
-            offset = start
-            for _ in range(count):
-                record, offset = _read_record(body, offset)
-                yield record
-
-    def scan_page(self, page_id: int) -> Iterator[bytes]:
-        """Yield the records of one page (used by B+-trees over external leaves)."""
-        page = self.disk.read(page_id)
-        count, reader = unpack_page(page)
-        offset = reader.offset
-        for _ in range(count):
-            record, offset = _read_record(page, offset)
-            yield record
+            yield from page_records(self.disk.read(page_id))
 
 
-def _read_record(page: bytes, offset: int) -> Tuple[bytes, int]:
-    """Records inside pages are length-prefixed; return (body, next offset)."""
-    from ..xmlmodel.dewey import decode_varint
+def page_records(page: bytes) -> List[bytes]:
+    """The record bodies of one list page, in order.
 
-    length, offset = decode_varint(page, offset)
-    end = offset + length
-    if end > len(page):
-        raise StorageError("truncated record in list page")
-    return page[offset:end], end
+    The only parser of the list page format, ``varint count ‖ (varint
+    length ‖ record)*``: list scans and HDIL's external B+-tree leaves
+    (:func:`repro.index.hdil.decode_list_page`) both read pages through it.
+    """
+    count, reader = unpack_page(page)
+    offset = reader.offset
+    records: List[bytes] = []
+    for _ in range(count):
+        length, offset = decode_varint(page, offset)
+        end = offset + length
+        if end > len(page):
+            raise StorageError("truncated record in list page")
+        records.append(page[offset:end])
+        offset = end
+    return records
 
 
 def frame_record(body: bytes) -> bytes:
     """Length-prefix a record body for storage in a list page."""
-    from ..xmlmodel.dewey import encode_varint
-
     return encode_varint(len(body)) + body
 
 
 class ListCursor:
-    """A pull-based cursor over a :class:`ListFile` (peek / next / eof).
+    """A pull-based cursor over one inverted list (peek / next / eof).
 
-    The DIL merge needs to look at the head record of n lists repeatedly;
-    this cursor decodes lazily, one page at a time.
+    The list may span several :class:`ListFile` s read back to back (an
+    incremental index's main file, then its delta); each is read lazily,
+    one page at a time.
     """
 
-    def __init__(self, list_file: ListFile):
-        self._iterator = list_file.scan()
+    def __init__(self, *list_files: ListFile):
+        self._iterator = chain.from_iterable(f.scan() for f in list_files)
         self._head: Optional[bytes] = None
-        self._eof = False
         self._advance()
 
     def _advance(self) -> None:
-        try:
-            self._head = next(self._iterator)
-        except StopIteration:
-            self._head = None
-            self._eof = True
+        self._head = next(self._iterator, None)
 
     @property
     def eof(self) -> bool:
-        return self._eof
+        return self._head is None
 
     def peek(self) -> bytes:
         """Head record without consuming it."""
-        if self._eof or self._head is None:
+        if self._head is None:
             raise StorageError("peek past end of list")
         return self._head
 

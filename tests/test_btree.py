@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import StorageParams
 from repro.errors import BTreeError
-from repro.storage.btree import BTree, SharedPageWriter
+from repro.storage.btree import BTree
 from repro.storage.disk import SimulatedDisk
 from repro.xmlmodel.dewey import DeweyId
 
@@ -157,20 +157,3 @@ def test_property_btree_matches_sorted_list(key_tuples):
     lcp = tree.longest_common_prefix(probe)
     assert lcp == len(probe)
     assert [k for k, _ in tree.range_scan(keys[0])] == keys
-
-
-class TestSharedPageWriter:
-    def test_small_blobs_share_a_page(self):
-        disk = make_disk(page_size=256)
-        writer = SharedPageWriter(disk)
-        first = writer.place(b"x" * 100)
-        second = writer.place(b"y" * 100)
-        third = writer.place(b"z" * 100)  # does not fit: new page
-        assert first == second
-        assert third != first
-
-    def test_oversized_blob_rejected(self):
-        disk = make_disk(page_size=128)
-        writer = SharedPageWriter(disk)
-        with pytest.raises(BTreeError):
-            writer.place(b"x" * 200)

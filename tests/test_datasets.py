@@ -130,6 +130,15 @@ class TestXMark:
         depths = [e.dewey.depth for e in corpus.graph.elements]
         assert max(depths) >= 9  # "relatively deep with a depth of 10"
 
+    def test_source_reparses_to_the_same_document(self, corpus):
+        from repro.xmlmodel.parser import parse_xml
+
+        (source,) = corpus.sources
+        reparsed = parse_xml(source, doc_id=0)
+        assert sum(1 for _ in reparsed.iter_elements()) == sum(
+            1 for _ in corpus.documents[0].iter_elements()
+        )
+
     def test_intradocument_idrefs_resolved(self, corpus):
         resolution = corpus.graph.resolution
         assert resolution.idrefs_resolved > 100

@@ -92,6 +92,8 @@ class TestDisjunctiveSemantics:
             evaluator.evaluate(["x"], m=0)
         with pytest.raises(QueryError):
             evaluator.evaluate(["x", "y"], m=5, weights=[1.0])
+        with pytest.raises(QueryError):  # same rule as the "and" evaluators
+            evaluator.evaluate(["x", "y"], m=5, weights=[1.0, -1.0])
 
 
 class TestWeightedKeywords:

@@ -169,3 +169,39 @@ class TestHDILEstimators:
 
         with pytest.raises(QueryError):
             HDILParams(estimator="crystal-ball")
+
+
+class TestSingleKeywordParity:
+    """One top-m routine serves every Dewey-family index: same answer."""
+
+    class Expired:
+        def poll(self):
+            return True
+
+    @pytest.mark.parametrize("weights", [None, [2.5]])
+    def test_identical_across_index_kinds(self, weights):
+        from repro.index.incremental import IncrementalDILIndex
+
+        graph = random_graph(random.Random(11), num_docs=5, max_depth=4)
+        params = HDILParams(rank_fraction=0.25, min_rank_entries=2)
+        evaluators, builder = build_evaluators(graph, hdil_params=params)
+        incremental = IncrementalDILIndex()
+        incremental.build(builder.direct_postings)
+        evaluators["dil-incremental"] = DILEvaluator(incremental)
+        for evaluator in evaluators.values():
+            evaluator.index.delete_document(1)
+
+        hdil = evaluators["hdil"].index
+        keyword = max(VOCAB, key=hdil.list_length)
+        head, length = hdil.head_length(keyword), hdil.list_length(keyword)
+        assert 1 < head < length
+        for m in (1, head, head + 1, length + 5):
+            want = evaluators["dil"].evaluate([keyword], m=m, weights=weights)
+            assert want and all(r.dewey.doc_id != 1 for r in want)
+            for name, evaluator in evaluators.items():
+                got = evaluator.evaluate([keyword], m=m, weights=weights)
+                assert got == want, f"{name} differs at m={m}"
+        for name, evaluator in evaluators.items():
+            assert evaluator.evaluate(
+                [keyword], m=3, weights=weights, deadline=self.Expired()
+            ) == [], name

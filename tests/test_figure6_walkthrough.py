@@ -43,8 +43,8 @@ def figure4_lists():
 def run_merge(xql_list, ricardo_list, params=None):
     params = params or RankingParams(decay=0.5, use_proximity=False)
     streams = [
-        PostingStream.from_postings(xql_list),
-        PostingStream.from_postings(ricardo_list),
+        PostingStream(xql_list),
+        PostingStream(ricardo_list),
     ]
     return list(conjunctive_merge(streams, params)), params
 

@@ -201,39 +201,50 @@ class TestIncrementalEquivalence:
 
 
 class TestChainedCursor:
-    def test_empty_chain(self):
-        from repro.index.incremental import ChainedCursor
+    """Main-then-delta is one :class:`ListCursor` over several list files."""
 
-        cursor = ChainedCursor([None, None])
+    @staticmethod
+    def disk():
+        from repro.config import StorageParams
+        from repro.storage.disk import SimulatedDisk
+
+        return SimulatedDisk(StorageParams(page_size=128))
+
+    def test_empty_chain(self):
+        from repro.errors import StorageError
+        from repro.storage.listfile import ListCursor
+
+        cursor = ListCursor()
         assert cursor.eof
-        with pytest.raises(IndexError_):
+        with pytest.raises(StorageError):
             cursor.peek()
 
     def test_skips_exhausted_segments(self):
-        from repro.config import StorageParams
-        from repro.index.incremental import ChainedCursor
-        from repro.storage.disk import SimulatedDisk
         from repro.storage.listfile import ListCursor, ListFile
 
-        disk = SimulatedDisk(StorageParams(page_size=128))
+        disk = self.disk()
         empty = ListFile.write(disk, [])
         full = ListFile.write(disk, [b"a", b"b"])
-        cursor = ChainedCursor([ListCursor(empty), ListCursor(full)])
+        cursor = ListCursor(empty, full)
         assert cursor.peek() == b"a"
         assert cursor.next() == b"a"
         assert cursor.next() == b"b"
         assert cursor.eof
 
     def test_three_segments_in_order(self):
-        from repro.config import StorageParams
-        from repro.index.incremental import ChainedCursor
-        from repro.storage.disk import SimulatedDisk
         from repro.storage.listfile import ListCursor, ListFile
 
-        disk = SimulatedDisk(StorageParams(page_size=128))
+        disk = self.disk()
         files = [ListFile.write(disk, [bytes([65 + i])]) for i in range(3)]
-        cursor = ChainedCursor([ListCursor(f) for f in files])
+        cursor = ListCursor(*files)
         out = []
         while not cursor.eof:
             out.append(cursor.next())
         assert out == [b"A", b"B", b"C"]
+
+    def test_unknown_keyword_has_no_cursor(self):
+        index, builder = fresh_index()
+        index.add_documents(new_documents(["fresh"], 10), reference=builder.elemranks)
+        assert index.cursor("nowhere") is None
+        assert index.cursor("fresh") is not None  # delta only
+        assert index.cursor("gamma") is not None  # main only

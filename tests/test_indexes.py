@@ -182,12 +182,11 @@ class TestVacuumHeuristic:
 
     def test_iter_decoded_roundtrip(self, small_corpus_graph):
         from repro.index.builder import IndexBuilder
-        from repro.index.postings import iter_decoded
+        from repro.query.streams import decode_cursor
 
         builder = IndexBuilder(small_corpus_graph)
         keyword, postings = next(iter(builder.direct_postings.items()))
-        records = [p.encode() for p in postings]
-        decoded = list(iter_decoded(iter(records)))
+        decoded = list(decode_cursor(builder.build_dil().cursor(keyword)))
         assert [(p.dewey, p.positions) for p in decoded] == [
             (p.dewey, p.positions) for p in postings
         ]

@@ -5,7 +5,7 @@ import pytest
 from repro.config import StorageParams
 from repro.errors import StorageError
 from repro.storage.disk import SimulatedDisk
-from repro.storage.listfile import ListCursor, ListFile
+from repro.storage.listfile import ListCursor, ListFile, page_records
 
 
 def make_disk(page_size=256, pool=8):
@@ -63,8 +63,15 @@ class TestWriteScan:
         list_file = ListFile.write(disk, records)
         recovered = []
         for page_id in list_file.page_ids:
-            recovered.extend(list_file.scan_page(page_id))
+            recovered.extend(page_records(disk.read(page_id)))
         assert recovered == records
+
+    def test_truncated_page_is_a_storage_error(self):
+        disk = make_disk(page_size=128)
+        list_file = ListFile.write(disk, [b"r" * 40])
+        page = disk.read(list_file.page_ids[0])
+        with pytest.raises(StorageError, match="truncated record"):
+            page_records(page[:-1])
 
     def test_byte_size_accounts_pages(self):
         disk = make_disk()

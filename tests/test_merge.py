@@ -24,7 +24,7 @@ def merge_results(graph, keywords, params=None):
     elemranks = compute_elemrank(graph).as_mapping(graph)
     postings = extract_direct_postings(graph, elemranks)
     streams = [
-        PostingStream.from_postings(postings.get(k, []))
+        PostingStream(postings.get(k, []))
         for k in keywords
     ]
     return {

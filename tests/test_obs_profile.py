@@ -234,6 +234,63 @@ class TestMergeSnapshots:
         )
 
 
+class TestPostingsDecoded:
+    """``postings_decoded`` counts every decode, wherever it happens."""
+
+    def test_list_cache_loader_decodes_are_counted(self):
+        from repro.service.cache import GenerationalLRU
+
+        engine = build_engine()
+        keywords = ["alpha", "beta"]
+        lengths = sum(engine.index("dil").list_length(k) for k in keywords)
+        evaluator = engine.evaluator("dil")
+        evaluator.list_cache = GenerationalLRU(8)
+        cold, warm = QueryProfile(), QueryProfile()
+        with activate(cold):
+            first = evaluator.evaluate(keywords, m=50)
+        with activate(warm):
+            assert evaluator.evaluate(keywords, m=50) == first
+        assert cold.postings_decoded == lengths
+        assert (cold.list_cache_misses, cold.list_cache_hits) == (2, 0)
+        assert warm.postings_decoded == 0
+        assert (warm.list_cache_misses, warm.list_cache_hits) == (0, 2)
+        assert warm.postings_scanned == cold.postings_scanned == lengths
+
+    def test_rdil_qualification_decodes_are_counted(self):
+        from repro.config import RankingParams
+        from repro.index.postings import Posting
+        from repro.query.rdil_eval import RankedProbeLoop
+        from repro.query.streams import PostingStream, decode_cursor
+
+        engine = XRankEngine()
+        for index, doc in enumerate(DOCS):
+            engine.add_xml(doc, uri=f"doc{index}")
+        engine.build(kinds=["rdil"])
+        rdil = engine.index("rdil")
+        keywords = ["alpha", "beta"]
+        tree_decodes = []
+
+        def decoder(key, payload):
+            tree_decodes.append(key)
+            return Posting.decode_payload(key, payload)
+
+        profile = QueryProfile()
+        with activate(profile):
+            streams = [
+                PostingStream(list(decode_cursor(rdil.ranked_cursor(k))))
+                for k in keywords
+            ]
+            ranked_decodes = profile.postings_decoded
+            assert ranked_decodes == sum(rdil.list_length(k) for k in keywords)
+            loop = RankedProbeLoop(
+                streams, [rdil.btree(k) for k in keywords], decoder,
+                RankingParams(), set(),
+            )
+            loop.run(5)
+        assert tree_decodes
+        assert profile.postings_decoded - ranked_decodes == len(tree_decodes)
+
+
 class TestServiceProfiling:
     def test_search_populates_the_registry(self):
         service = XRankService(build_engine(), profile=True)

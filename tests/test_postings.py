@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.index.naive import expand_naive_postings
 from repro.index.postings import (
     Posting,
-    expand_to_naive_postings,
     extract_direct_postings,
     rank_order,
 )
@@ -75,15 +75,18 @@ class TestNaiveExpansion:
     def test_ancestors_replicated(self):
         graph, ranks = graph_and_ranks("<a><b><c>deep</c></b></a>")
         direct = extract_direct_postings(graph, ranks)
-        naive = expand_to_naive_postings(direct, ranks)
-        assert [str(p.dewey) for p in naive["deep"]] == ["0", "0.0", "0.0.0"]
+        naive = expand_naive_postings(direct, graph)
+        assert [p.elem_id for p in naive["deep"]] == [
+            graph.index_of[DeweyId.parse(d)] for d in ("0", "0.0", "0.0.0")
+        ]
 
     def test_positions_merged_upward(self):
         graph, ranks = graph_and_ranks("<a><b>kw</b><c>kw</c></a>")
-        naive = expand_to_naive_postings(
-            extract_direct_postings(graph, ranks), ranks
+        naive = expand_naive_postings(
+            extract_direct_postings(graph, ranks), graph
         )
-        root_entry = [p for p in naive["kw"] if p.dewey == DeweyId((0,))][0]
+        root_id = graph.index_of[DeweyId((0,))]
+        root_entry = [p for p in naive["kw"] if p.elem_id == root_id][0]
         assert len(root_entry.positions) == 2
 
     def test_naive_strictly_larger(self):
@@ -91,7 +94,7 @@ class TestNaiveExpansion:
             "<a><b><c>x</c></b></a>", "<d><e>x</e></d>"
         )
         direct = extract_direct_postings(graph, ranks)
-        naive = expand_to_naive_postings(direct, ranks)
+        naive = expand_naive_postings(direct, graph)
         assert len(naive["x"]) > len(direct["x"])
 
 

@@ -8,8 +8,10 @@ import time
 
 import pytest
 
-from repro.engine import XRankEngine, _highlight
+from repro.engine import INDEX_KINDS, XRankEngine, _highlight
 from repro.errors import QueryError, ServiceOverloadedError
+from repro.faults import FaultPlan
+from repro.obs import Tracer
 from repro.service.admission import AdmissionController, Deadline
 from repro.service.cache import MISS, GenerationalLRU
 from repro.service.concurrency import ReadWriteLock
@@ -442,6 +444,35 @@ class TestXRankService:
         service.search("xql language", m=5, kind="dil")
         totals = service.io_totals()
         assert totals.page_reads + totals.cache_hits > 0
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_every_kind_answers_the_index_surface(kind):
+    """healthz / stats / I/O totals / a recording trace / fault-plan
+    attachment all go through ``index.disk``; ``dil-incremental`` (main +
+    delta) has to answer them like every other kind."""
+    engine = XRankEngine()
+    engine.add_xml(SMALL_DOC, uri="doc0")
+    plan = FaultPlan(seed=1)
+    engine.set_fault_plan(plan)  # attached by _build_kind
+    engine.build(kinds=[kind])
+    service = XRankService(
+        engine, default_kind=kind, tracer=Tracer(sample="always")
+    )
+    if kind == "dil-incremental":
+        service.add_xml("<paper><title>delta xql</title></paper>", uri="doc1")
+        assert engine.index(kind).delta.disk is engine.index(kind).disk
+    assert engine.index(kind).disk.fault_plan is plan
+
+    assert service.search("xql language", m=5).hits
+    (root,) = service.tracer.buffer.traces()
+    assert root.name == "service.search"
+    assert service.healthz()["kinds"] == [kind]
+    assert service.stats()["io"]["page_reads"] > 0
+    assert service.io_totals().page_reads > 0
+
+    engine.set_fault_plan(None)
+    assert engine.index(kind).disk.fault_plan is None
 
 
 # ---------------------------------------------------------------------------

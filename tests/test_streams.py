@@ -3,14 +3,16 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import StorageParams
 from repro.engine import XRankEngine
 from repro.errors import QueryError, StorageError
 from repro.index.postings import Posting
-from repro.query.streams import PostingStream, smallest_head_index
+from repro.query.streams import PostingStream, open_stream, smallest_head_index
+from repro.service.cache import GenerationalLRU
 from repro.storage.disk import SimulatedDisk
-from repro.storage.listfile import ListFile
+from repro.storage.listfile import ListCursor, ListFile
 from repro.storage.records import RecordReader
 from repro.xmlmodel.dewey import DeweyId
 
@@ -21,7 +23,7 @@ def posting(dewey_text, rank=0.5, positions=(1,)):
 
 class TestPostingStream:
     def test_peek_next_eof(self):
-        stream = PostingStream.from_postings([posting("0.1"), posting("0.2")])
+        stream = PostingStream([posting("0.1"), posting("0.2")])
         assert stream.peek().dewey == DeweyId.parse("0.1")
         assert stream.next().dewey == DeweyId.parse("0.1")
         assert stream.next().dewey == DeweyId.parse("0.2")
@@ -34,7 +36,7 @@ class TestPostingStream:
         assert stream.eof
 
     def test_tombstone_filtering(self):
-        stream = PostingStream.from_postings(
+        stream = PostingStream(
             [posting("0.1"), posting("1.1"), posting("2.1")],
             deleted_docs={1},
         )
@@ -44,7 +46,7 @@ class TestPostingStream:
         assert doc_ids == [0, 2]
 
     def test_all_tombstoned(self):
-        stream = PostingStream.from_postings(
+        stream = PostingStream(
             [posting("0.1")], deleted_docs={0}
         )
         assert stream.eof
@@ -53,8 +55,6 @@ class TestPostingStream:
         disk = SimulatedDisk(StorageParams(page_size=256))
         records = [posting(f"0.{i}").encode() for i in range(20)]
         list_file = ListFile.write(disk, records)
-        from repro.storage.listfile import ListCursor
-
         stream = PostingStream.from_cursor(ListCursor(list_file))
         count = 0
         while not stream.eof:
@@ -64,15 +64,86 @@ class TestPostingStream:
 
     def test_smallest_head_index(self):
         streams = [
-            PostingStream.from_postings([posting("0.5")]),
-            PostingStream.from_postings([posting("0.2")]),
-            PostingStream.from_postings([]),
+            PostingStream([posting("0.5")]),
+            PostingStream([posting("0.2")]),
+            PostingStream([]),
         ]
         assert smallest_head_index(streams) == 1
         streams[1].next()
         assert smallest_head_index(streams) == 0
         streams[0].next()
         assert smallest_head_index(streams) is None
+
+
+class _OneListIndex:
+    """The slice of the index surface ``open_stream`` reads."""
+
+    kind = "stub"
+
+    def __init__(self, files, deleted_docs):
+        self.files = files
+        self.deleted_docs = deleted_docs
+
+    def cursor(self, keyword):
+        return ListCursor(*self.files) if keyword == "kw" else None
+
+
+def _drain(stream):
+    out = []
+    while not stream.eof:
+        out.append(stream.next())
+    return out
+
+
+class TestOneReadPath:
+    """list files -> ListCursor -> decode -> (cache) -> PostingStream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 40)),
+            unique=True, max_size=60,
+        ),
+        split=st.integers(0, 60),
+        deleted=st.sets(st.integers(0, 5)),
+        late_delete=st.integers(0, 5),
+        cache_mode=st.sampled_from(["none", "cold", "warm"]),
+    )
+    def test_every_route_yields_the_live_postings_in_order(
+        self, ids, split, deleted, late_delete, cache_mode
+    ):
+        postings = [
+            Posting(DeweyId(pair), 0.25, (1 + i,))
+            for i, pair in enumerate(sorted(ids))
+        ]
+        disk = SimulatedDisk(StorageParams(page_size=64))
+        split = min(split, len(postings))  # 0 / len: a one-file list
+        files = [
+            ListFile.write(disk, [p.encode() for p in part])
+            for part in (postings[:split], postings[split:])
+            if part
+        ]
+        index = _OneListIndex(files, set(deleted))
+        cache = None if cache_mode == "none" else GenerationalLRU(4)
+
+        def read():
+            return _drain(open_stream(index, "full", index.cursor, "kw", cache))
+
+        def live():
+            return [
+                p for p in postings
+                if p.dewey.doc_id not in index.deleted_docs
+            ]
+
+        if cache_mode == "warm":
+            read()
+        assert read() == live()
+        # A delete issued after the (possibly cached) decode is honoured.
+        index.deleted_docs.add(late_delete)
+        assert read() == live()
+        assert _drain(
+            open_stream(index, "full", index.cursor, "absent", cache)
+        ) == []
 
 
 class TestFailureInjection:
