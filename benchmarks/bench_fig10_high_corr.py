@@ -6,7 +6,8 @@ is attached as ``extra_info`` and the figure's qualitative shape is asserted
 at the end:
 
 * RDIL beats DIL (successful index probes terminate the ranked scan early);
-* HDIL tracks RDIL;
+* HDIL tracks RDIL at n = 2, 3 and mis-switches to DIL at n = 4, landing
+  above both (the paper's §5.4 artifact, pinned below);
 * Naive-ID is worse than DIL and Naive-Rank worse than RDIL (ancestor
   entries inflate every scan and probe).
 """
@@ -57,11 +58,26 @@ def test_fig10_shape(benchmark, suite, capsys):
         assert values["naive-rank"] > values["rdil"], (
             "naive ancestor entries make Naive-Rank slower than RDIL"
         )
-    # HDIL tracks the winner within a small factor at every point (the
-    # paper notes an occasional mis-switch, so allow 2x of the best).
+    # HDIL tracks the winner within a small factor at every point.  The
+    # n = 4 mis-switch below lands at 2.49x the best, so allow 3x.
     for point in table.points:
         best = min(point.values["dil"], point.values["rdil"])
         assert point.values["hdil"] <= 3 * best
+
+    # Paper §5.4: "Occasionally, however, HDIL has a running time that is
+    # slightly greater than both DIL and RDIL ... because HDIL makes a
+    # slightly inaccurate estimation and switches to DIL instead of
+    # sticking to RDIL."  Theirs happened at n = 2; on this corpus HDIL
+    # stays with RDIL at n = 2, 3 and mis-switches at n = 4 (simulated
+    # cost is deterministic: dil 104.0, rdil 53.0, hdil 132.0 ms).
+    by_n = {point.x: point.values for point in table.points}
+    for n in (2, 3):
+        assert by_n[n]["hdil"] == by_n[n]["rdil"], (
+            f"HDIL should stay with RDIL at n={n}"
+        )
+    assert by_n[4]["hdil"] > max(by_n[4]["dil"], by_n[4]["rdil"]), (
+        "HDIL should mis-switch to DIL at n=4 and land above both"
+    )
 
 
 def test_fig10_xmark(benchmark, suite, capsys):

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import random
 import struct
+import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
 from repro.config import RankingParams
+from repro.datasets.dblp import generate_dblp
+from repro.datasets.textgen import PlantedKeywords
+from repro.engine import XRankEngine
 from repro.ranking.proximity import proximity
 from repro.xmlmodel.dewey import DeweyId
 from repro.xmlmodel.graph import CollectionGraph
@@ -234,3 +238,42 @@ def small_corpus_graph() -> CollectionGraph:
         graph.add_document(parse_xml(source, doc_id=doc_id, uri=f"doc{doc_id}"))
     graph.finalize()
     return graph
+
+
+# ---------------------------------------------------------------------------
+# Baseline for the observability tax gates (test_obs, test_obs_profile)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="session")
+def tax_workload() -> Tuple[XRankEngine, List[str]]:
+    """A 40-paper DBLP ``hdil`` engine and a six-query mixed workload."""
+    planted = PlantedKeywords.default()
+    planted.correlated_rate = 0.5
+    planted.independent_rate = 0.7
+    corpus = generate_dblp(num_papers=40, seed=11, planted=planted)
+    engine = XRankEngine()
+    for document in corpus.documents:
+        engine.add_document(document)
+    engine.build(kinds=["hdil"])
+    queries = [" ".join(group[:2]) for group in planted.correlated_groups[:3]]
+    queries += [group[0] for group in planted.correlated_groups[:2]]
+    queries.append(planted.independent_keywords[0])
+    return engine, queries
+
+
+def min_query_ns(service, queries: Sequence[str], repetitions: int = 2) -> float:
+    """Per-query ns of the fastest of three passes, after one warm-up pass.
+
+    The minimum suppresses scheduler noise; the warm-up pass loads the
+    buffer pool so every timed pass sees the same pages.
+    """
+
+    def one_pass() -> float:
+        started = time.perf_counter()
+        for _ in range(repetitions):
+            for query in queries:
+                service.search(query, m=10)
+        return time.perf_counter() - started
+
+    one_pass()
+    return min(one_pass() for _ in range(3)) / (repetitions * len(queries)) * 1e9

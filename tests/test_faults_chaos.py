@@ -14,6 +14,18 @@ import json
 import pytest
 
 from repro.chaos import OUTCOMES, ChaosReport, run_chaos
+from repro.config import StorageParams, XRankConfig
+from repro.datasets.dblp import generate_dblp
+from repro.datasets.workloads import random_queries
+from repro.engine import XRankEngine
+from repro.service.core import XRankService
+from repro.storage.iostats import IOStats
+
+#: Maximum simulated-I/O overhead of checksummed storage over an
+#: unhardened twin at a 0% fault rate: hardening must be nearly free.
+#: Simulated cost is a pure function of the I/O counters, so this gate is
+#: deterministic.
+MAX_ZERO_RATE_OVERHEAD = 0.03
 
 #: One storm shared across the assertions below (building twice is the
 #: expensive part; reproducibility gets its own second run).
@@ -71,6 +83,31 @@ class TestChaosReproducibility:
         assert decoded["fault_rate"] == 0.05
 
 
+def _unhardened_cost_ms(seed, num_papers, num_queries):
+    """Simulated I/O of a calm storm's workload on a checksums-off twin.
+
+    Same corpus, queries and uncached service as :func:`run_chaos`.
+    """
+    corpus = generate_dblp(num_papers=num_papers, seed=(seed % 997) + 3)
+    twin = XRankEngine(
+        config=XRankConfig(storage=StorageParams(checksums=False))
+    )
+    twin.build(kinds=("hdil", "dil"), corpus=list(corpus.sources))
+    service = XRankService(
+        twin,
+        kinds=("hdil", "dil"),
+        default_kind="hdil",
+        result_cache_size=0,
+        list_cache_size=0,
+    )
+    workload = random_queries(
+        twin.graph, num_keywords=2, num_queries=num_queries, seed=seed ^ 0x5EED
+    )
+    for keywords in workload:
+        service.search(" ".join(keywords), m=10, kind="hdil")
+    return service.io_totals().cost_ms(twin.config.storage)
+
+
 class TestFaultFreeStorm:
     def test_zero_rate_matches_oracle_exactly(self):
         calm = run_chaos(seed=1337, fault_rate=0.0, **_SCALE)
@@ -78,6 +115,15 @@ class TestFaultFreeStorm:
         assert calm.outcomes["match"] == calm.queries
         assert calm.outcomes["degraded"] == 0
         assert calm.outcomes["typed_error"] == 0
+        assert calm.io["retries"] == 0
+
+        hardened = IOStats(**calm.io).cost_ms(StorageParams(checksums=True))
+        baseline = _unhardened_cost_ms(
+            1337, _SCALE["num_papers"], _SCALE["num_queries"]
+        )
+        assert baseline > 0
+        overhead = (hardened - baseline) / baseline
+        assert overhead < MAX_ZERO_RATE_OVERHEAD, (hardened, baseline)
 
 
 class TestChaosReportShape:

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
+from conftest import min_query_ns
 from repro.engine import XRankEngine
 from repro.errors import XRankError
 from repro.obs import (
@@ -478,3 +480,56 @@ class TestTracedService:
         # not invent new trees.
         for query, shapes in by_query.items():
             assert len(shapes) <= 2, (query, shapes)
+
+
+# ---------------------------------------------------------------------------
+# The tracing-disabled tax
+# ---------------------------------------------------------------------------
+
+#: The NOOP plumbing an untraced query pays may cost at most 3% of that
+#: query.  It is microbenchmarked rather than A/B'd, because the
+#: instrumentation cannot be switched out of the build at runtime, and the
+#: microbenchmark is stable enough on shared runners to gate this tightly.
+TRACE_BUDGET_RATIO = 1.03
+
+
+def _noop_plumbing_ns(iterations: int = 20000) -> float:
+    """Per-query cost of the tracing plumbing with sampling off, in ns.
+
+    Replays the exact call sequence ``XRankService.search`` makes on the
+    NOOP path: begin, three child spans with their event and set, a
+    recording check, finish.
+    """
+    tracer = Tracer(sample="never")
+    started = time.perf_counter()
+    for _ in range(iterations):
+        span = tracer.begin(
+            "service.search", query="q", kind="hdil", m=10, mode="and"
+        )
+        with span.child("admission"):
+            pass
+        with span.child("cache.lookup") as cache_span:
+            cache_span.event("miss")
+        with span.child("evaluate", kind="hdil", mode="and") as eval_span:
+            io_before = None if not eval_span.recording else object()
+            assert io_before is None
+            eval_span.set("hits", 10)
+        if span.recording:
+            span.set("cached", False)
+        span.finish()
+        tracer.finish(span)
+    return (time.perf_counter() - started) / iterations * 1e9
+
+
+def test_tracing_off_tax_fits_the_budget(tax_workload):
+    engine, queries = tax_workload
+    service = XRankService(
+        engine, result_cache_size=0, list_cache_size=0,
+        tracer=Tracer(sample="never"),
+    )
+    query_ns = min_query_ns(service, queries)
+    noop_ns = _noop_plumbing_ns()
+    ratio = 1.0 + noop_ns / query_ns
+    assert ratio <= TRACE_BUDGET_RATIO, (
+        f"NOOP tracing costs {noop_ns:.0f} ns on a {query_ns:.0f} ns query"
+    )

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
+from conftest import min_query_ns
 from repro.engine import XRankEngine
 from repro.obs.profile import (
     COUNTER_FIELDS,
@@ -326,3 +328,64 @@ class TestServiceProfiling:
             return canonical_profile_json(service.profile_snapshot())
 
         assert run() == run()
+
+
+# Profiling tax: the plumbing a query pays for cost attribution, as a
+# ratio over the unprofiled query.  Microbenchmarked like the tracing tax
+# (test_obs), because the disabled path cannot be switched out of the
+# build at runtime.
+#: Profiling off: one ``is not None`` branch per counter event.
+PROFILE_DISABLED_BUDGET_RATIO = 1.03
+#: Profiling on: the increments, the QueryProfile and one registry fold.
+PROFILE_ENABLED_BUDGET_RATIO = 1.05
+
+
+def _profile_plumbing_ns(
+    events: int, enabled: bool, iterations: int = 4000
+) -> float:
+    """Per-query cost of the profiling plumbing at ``events`` per query.
+
+    Replays the hot-loop pattern ``XRankService.search`` and the
+    evaluators use: capture the active profile once, then branch on it
+    per counter event.
+    """
+    registry = ProfileRegistry()
+    started = time.perf_counter()
+    for _ in range(iterations):
+        profile = QueryProfile() if enabled else None
+        with activate(profile):
+            captured = active_profile()
+            for _ in range(events):
+                if captured is not None:
+                    captured.postings_scanned += 1
+        if profile is not None:
+            registry.record("hdil", "tax:1kw", 10, profile)
+    return (time.perf_counter() - started) / iterations * 1e9
+
+
+def test_profiling_tax_fits_the_budgets(tax_workload):
+    engine, queries = tax_workload
+    plain = XRankService(engine, result_cache_size=0, list_cache_size=0)
+    query_ns = min_query_ns(plain, queries)
+
+    profiled = XRankService(
+        engine, result_cache_size=0, list_cache_size=0, profile=True
+    )
+    for query in queries:
+        profiled.search(query, m=10)
+    snapshot = profiled.profile_snapshot()
+    events = sum(
+        sum(entry["counters"].values()) for entry in snapshot["profiles"]
+    )
+    events_per_query = max(1, round(events / snapshot["queries"]))
+
+    for enabled, budget in (
+        (False, PROFILE_DISABLED_BUDGET_RATIO),
+        (True, PROFILE_ENABLED_BUDGET_RATIO),
+    ):
+        plumbing_ns = _profile_plumbing_ns(events_per_query, enabled)
+        ratio = 1.0 + plumbing_ns / query_ns
+        assert ratio <= budget, (
+            f"profiling {'on' if enabled else 'off'} costs {plumbing_ns:.0f} "
+            f"ns at {events_per_query} events on a {query_ns:.0f} ns query"
+        )
