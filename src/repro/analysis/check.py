@@ -5,7 +5,9 @@ Plain ``repro check`` lints the source tree with the project rules.
 
 * builds a small deterministic corpus, materializes all three
   Dewey-family indexes, and runs every structural invariant validator
-  against them (:mod:`repro.analysis.invariants`);
+  against them (:mod:`repro.analysis.invariants`), ending with a
+  seeded query batch after which every pooled B+-tree frame must equal
+  a fresh decode of its page;
 * runs the lock tracer twice: a *self-test* seeding a deliberate ABBA
   acquisition plus a same-thread nested read (both MUST be detected, so
   a silently broken detector fails the build), then a *live* trace of an

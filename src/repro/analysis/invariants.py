@@ -14,7 +14,9 @@ Each ``check_*`` function returns a list of
 :class:`InvariantViolation`; :func:`check_engine` runs the whole battery
 against every built index kind of one engine.  All checks are pure
 reads — they never mutate the engine — so ``repro check --strict`` can
-run them against a freshly built corpus in CI.
+run them against a freshly built corpus in CI.  They decode pages from
+the disk (``BTree._leaf_entries``), never from the buffer pool's decoded
+frames, and :func:`check_frames` holds the frames to those decodes.
 """
 
 from __future__ import annotations
@@ -119,6 +121,35 @@ def check_btree(tree: BTree, name: str = "btree") -> List[InvariantViolation]:
             previous = key
     if total != tree.num_entries:
         bad(f"leaf level holds {total} entries, tree claims {tree.num_entries}")
+    return violations
+
+
+# -- decoded page frames ----------------------------------------------------------
+
+
+def check_frames(engine) -> List[InvariantViolation]:
+    """Every frame a buffer pool would serve equals a fresh decode of its page.
+
+    :meth:`~repro.storage.disk.SimulatedDisk.read_decoded` serves a frame
+    only for the very bytes object it was decoded from, so a frame kept
+    for other bytes (a torn copy, a page rewritten since) is never served
+    and is skipped here.  Run it after queries have warmed the pools.
+    """
+    violations: List[InvariantViolation] = []
+    for kind, index in sorted(engine._indexes.items()):
+        disk = getattr(index, "disk", None)
+        if disk is None:
+            continue
+        for page_id, decode, data, frame in disk.pooled_frames():
+            page = disk.pages[page_id]
+            if data is page and frame != decode(page):
+                violations.append(
+                    InvariantViolation(
+                        "frames",
+                        f"{kind} page {page_id}",
+                        "pooled frame differs from a fresh decode of the page",
+                    )
+                )
     return violations
 
 
@@ -412,6 +443,8 @@ def check_engine(
     violations.extend(check_posting_lists(engine, sample=sample))
     violations.extend(check_elemrank(engine))
     violations.extend(check_index_agreement(engine, queries=queries, m=m))
+    # After the agreement queries, so the pools hold probe frames.
+    violations.extend(check_frames(engine))
     if engine.builder is not None and engine.builder.direct_postings:
         postings = engine.builder.direct_postings
         longest = max(postings, key=lambda k: len(postings[k]))

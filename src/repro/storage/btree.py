@@ -14,7 +14,11 @@ optimizations were impossible:
 
 Keys are :class:`DeweyId` values compared component-wise (document order).
 All node accesses go through the simulated disk, so probes are charged as
-random reads — the cost RDIL pays for skipping list entries.
+random reads — the cost RDIL pays for skipping list entries.  The read-only
+:class:`BTree` parses each page once per buffer-pool residency
+(:meth:`~repro.storage.disk.SimulatedDisk.read_decoded`) and searches the
+parsed keys as component tuples; :class:`MutableBTree` edits what it
+decodes, so it parses on every read.
 
 Supported operations: :meth:`ceiling` (smallest entry >= key),
 :meth:`predecessor` (largest entry < key), :meth:`longest_common_prefix`
@@ -83,6 +87,51 @@ def _decode_internal(page: bytes) -> List[Tuple[DeweyId, int]]:
         raise BTreeError("expected an internal page")
     count = reader.uint()
     return [(reader.dewey(), reader.uint()) for _ in range(count)]
+
+
+# Frames: what a probe needs of a page, kept by SimulatedDisk.read_decoded
+# for as long as the page stays in the buffer pool.  Keys are component
+# tuples, which order exactly as DeweyIds do, so lookups are plain bisects.
+
+
+def _internal_frame(page: bytes) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """(separator key tuples, child page ids) of an internal page."""
+    children = _decode_internal(page)
+    return [key.components for key, _ in children], [child for _, child in children]
+
+
+def _leaf_frame(page: bytes):
+    """(key tuples, entries, prev page, next page) of an owned leaf."""
+    prev_page, next_page, entries = _decode_leaf(page)
+    return [key.components for key, _ in entries], entries, prev_page, next_page
+
+
+class _ExternalLeafFrame:
+    """:func:`_leaf_frame` for an external leaf, whose neighbours come
+    from :attr:`BTree.leaf_pages` instead.
+
+    Equal per leaf decoder, so it is a stable frame key; it holds the
+    decoder and not the tree, so a kept frame never keeps its tree (and
+    with it the disk) alive.
+    """
+
+    __slots__ = ("leaf_decoder",)
+
+    def __init__(self, leaf_decoder: "LeafDecoder"):
+        self.leaf_decoder = leaf_decoder
+
+    def __call__(self, page: bytes):
+        entries = self.leaf_decoder(page)
+        return [key.components for key, _ in entries], entries, -1, -1
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _ExternalLeafFrame)
+            and other.leaf_decoder == self.leaf_decoder
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.leaf_decoder)
 
 
 class BTree:
@@ -193,20 +242,39 @@ class BTree:
             leaf_decoder=leaf_decoder,
         )
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_positions", None)  # derived; rebuilt on first use
+        return state
+
     # -- leaf access ----------------------------------------------------------------
 
     def _leaf_entries(self, page_id: int) -> List[Tuple[DeweyId, bytes]]:
+        """A leaf's entries decoded afresh from the disk (validators' path)."""
         page = self.disk.read(page_id)
         if self.leaf_decoder is not None:
             return self.leaf_decoder(page)
         _, _, entries = _decode_leaf(page)
         return entries
 
+    def _leaf(self, page_id: int):
+        """The leaf's frame: (key tuples, entries, prev page, next page)."""
+        if self.leaf_decoder is not None:
+            return self.disk.read_decoded(
+                page_id, _ExternalLeafFrame(self.leaf_decoder)
+            )
+        return self.disk.read_decoded(page_id, _leaf_frame)
+
     def _leaf_neighbors(self, page_id: int) -> Tuple[int, int]:
         """(prev, next) page ids, -1 when absent."""
         if self.leaf_decoder is not None:
             # External leaves are consecutive list pages.
-            position = self.leaf_pages.index(page_id)
+            positions = self.__dict__.get("_positions")
+            if positions is None:
+                positions = self._positions = {
+                    page: position for position, page in enumerate(self.leaf_pages)
+                }
+            position = positions[page_id]
             prev_page = self.leaf_pages[position - 1] if position > 0 else -1
             next_page = (
                 self.leaf_pages[position + 1]
@@ -214,32 +282,28 @@ class BTree:
                 else -1
             )
             return prev_page, next_page
-        page = self.disk.read(page_id)
-        prev_page, next_page, _ = _decode_leaf(page)
+        _, _, prev_page, next_page = self._leaf(page_id)
         return prev_page, next_page
 
-    def _descend(self, key: DeweyId) -> int:
-        """Page id of the leaf that would contain ``key``."""
+    def _descend(self, key: Tuple[int, ...]) -> int:
+        """Page id of the leaf that would contain the key tuple ``key``."""
         page_id = self.root_page
         for _ in range(self.height - 1):
-            children = _decode_internal(self.disk.read(page_id))
-            keys = [k for k, _ in children]
+            keys, children = self.disk.read_decoded(page_id, _internal_frame)
             # Last child whose separator <= key; first child when below all.
             position = bisect.bisect_right(keys, key) - 1
-            if position < 0:
-                position = 0
-            page_id = children[position][1]
+            page_id = children[position if position > 0 else 0]
         return page_id
 
     # -- queries -----------------------------------------------------------------------
 
     def ceiling(self, key: DeweyId) -> Optional[Tuple[DeweyId, bytes]]:
         """Smallest entry with entry key >= ``key``."""
-        page_id = self._descend(key)
+        target = key.components
+        page_id = self._descend(target)
         while page_id != -1:
-            entries = self._leaf_entries(page_id)
-            keys = [k for k, _ in entries]
-            position = bisect.bisect_left(keys, key)
+            keys, entries, _, _ = self._leaf(page_id)
+            position = bisect.bisect_left(keys, target)
             if position < len(entries):
                 return entries[position]
             _, page_id = self._leaf_neighbors(page_id)
@@ -247,11 +311,11 @@ class BTree:
 
     def strictly_greater(self, key: DeweyId) -> Optional[Tuple[DeweyId, bytes]]:
         """Smallest entry with entry key > ``key``."""
-        page_id = self._descend(key)
+        target = key.components
+        page_id = self._descend(target)
         while page_id != -1:
-            entries = self._leaf_entries(page_id)
-            keys = [k for k, _ in entries]
-            position = bisect.bisect_right(keys, key)
+            keys, entries, _, _ = self._leaf(page_id)
+            position = bisect.bisect_right(keys, target)
             if position < len(entries):
                 return entries[position]
             _, page_id = self._leaf_neighbors(page_id)
@@ -259,11 +323,11 @@ class BTree:
 
     def predecessor(self, key: DeweyId) -> Optional[Tuple[DeweyId, bytes]]:
         """Largest entry with entry key < ``key``."""
-        page_id = self._descend(key)
+        target = key.components
+        page_id = self._descend(target)
         while page_id != -1:
-            entries = self._leaf_entries(page_id)
-            keys = [k for k, _ in entries]
-            position = bisect.bisect_left(keys, key)
+            keys, entries, _, _ = self._leaf(page_id)
+            position = bisect.bisect_left(keys, target)
             if position > 0:
                 return entries[position - 1]
             page_id, _ = self._leaf_neighbors(page_id)
@@ -289,15 +353,20 @@ class BTree:
         self, low: DeweyId, high_exclusive: Optional[DeweyId] = None
     ) -> Iterator[Tuple[DeweyId, bytes]]:
         """Entries with low <= key < high_exclusive, in order."""
-        page_id = self._descend(low)
+        low_key = low.components
+        high_key = high_exclusive.components if high_exclusive is not None else None
+        page_id = self._descend(low_key)
         while page_id != -1:
-            entries = self._leaf_entries(page_id)
-            for key, payload in entries:
-                if key < low:
-                    continue
-                if high_exclusive is not None and key >= high_exclusive:
-                    return
-                yield key, payload
+            keys, entries, _, _ = self._leaf(page_id)
+            start = bisect.bisect_left(keys, low_key)
+            stop = (
+                len(keys)
+                if high_key is None
+                else max(start, bisect.bisect_left(keys, high_key))
+            )
+            yield from entries[start:stop]
+            if stop < len(keys):
+                return
             _, page_id = self._leaf_neighbors(page_id)
 
     def scan_subtree(self, prefix: DeweyId) -> Iterator[Tuple[DeweyId, bytes]]:

@@ -17,6 +17,11 @@ snapshots up to ``page_size`` long.  Reads go through an LRU buffer pool:
 
 "Cold cache" experiments (the paper's default, Section 5.1) call
 :meth:`drop_cache` before each query; warm-cache runs simply do not.
+
+:meth:`SimulatedDisk.read_decoded` lets a structure that parses its pages
+(the B+-tree's internal nodes and leaves) parse each one once per
+buffer-pool residency: the decoded *frame* hangs off the page's pool
+entry and goes when the page does.
 """
 
 from __future__ import annotations
@@ -24,22 +29,41 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, TypeVar
 
 from ..config import StorageParams
 from ..errors import CorruptPageError, PageError, ReadFaultError
 from .checksum import crc32c
 from .iostats import IOStats
 
+T = TypeVar("T")
+
+#: Returned by :meth:`BufferPool.frame` when no usable frame is kept.
+_NO_FRAME = object()
+
 
 class BufferPool:
-    """Fixed-capacity LRU cache of page ids."""
+    """Fixed-capacity LRU cache of page ids and their decoded frames.
+
+    Each resident page may carry frames, ``{decode: (data, decode(data))}``,
+    one per decoder that has parsed it.  A frame is served only for the
+    very ``bytes`` object it was decoded from (an ``is`` check): a write,
+    a free and reallocation, a bit flip or a torn read all put a different
+    object in front of the decoder, so no invalidation hook is needed.
+    Frames go with their page — LRU eviction, :meth:`evict`,
+    :meth:`clear` — so memory is bounded by capacity × one decoded page
+    per decoder, and a cold query decodes every page it misses.  They are
+    derived state and are not pickled.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise PageError("buffer pool capacity must be positive")
         self.capacity = capacity
-        self._pages: "OrderedDict[int, None]" = OrderedDict()
+        self._pages: "OrderedDict[int, Optional[dict]]" = OrderedDict()
+
+    def __getstate__(self) -> dict:
+        return {"capacity": self.capacity, "_pages": OrderedDict.fromkeys(self._pages)}
 
     def __contains__(self, page_id: int) -> bool:
         return page_id in self._pages
@@ -53,6 +77,33 @@ class BufferPool:
         if len(self._pages) > self.capacity:
             self._pages.popitem(last=False)
         return False
+
+    def frame(self, page_id: int, decode: Callable, data: bytes):
+        """The frame ``decode`` made of exactly ``data``, else ``_NO_FRAME``."""
+        frames = self._pages.get(page_id)
+        if frames is not None:
+            kept = frames.get(decode)
+            if kept is not None and kept[0] is data:
+                return kept[1]
+        return _NO_FRAME
+
+    def keep(self, page_id: int, decode: Callable, data: bytes, frame) -> None:
+        """Attach a frame to a resident page (a no-op once it has left)."""
+        if page_id not in self._pages:
+            return
+        frames = self._pages[page_id]
+        if frames is None:
+            frames = self._pages[page_id] = {}
+        frames[decode] = (data, frame)
+
+    def frames(self):
+        """Every kept ``(page_id, decode, data, frame)``, in LRU order."""
+        return [
+            (page_id, decode, data, frame)
+            for page_id, frames in self._pages.items()
+            if frames
+            for decode, (data, frame) in frames.items()
+        ]
 
     def evict(self, page_id: int) -> None:
         """Drop one page from the pool if present."""
@@ -75,7 +126,8 @@ class SimulatedDisk:
     def __init__(self, params: Optional[StorageParams] = None):
         self.params = params or StorageParams()
         self.pages: list = []
-        self.pool = BufferPool(self.params.buffer_pool_pages)
+        # Page ids in LRU order, and the decoded frames riding on them.
+        self.pool = BufferPool(self.params.buffer_pool_pages)  # guarded by: self._lock
         self.stats = IOStats()
         # Last missed page id of each active stream, most recent last.
         self._streams: "OrderedDict[int, None]" = OrderedDict()
@@ -200,7 +252,8 @@ class SimulatedDisk:
         if self._checksums is not None:
             self._checksums[page_id] = crc32c(b"")
         self._owners.pop(page_id, None)
-        self.pool.evict(page_id)
+        with self._lock:
+            self.pool.evict(page_id)
         bisect.insort(self._free, page_id)
 
     @property
@@ -214,7 +267,8 @@ class SimulatedDisk:
         self.pages[page_id] = bytes(data)
         self._record_write(page_id, data, owner)
         self.stats.record_writes()
-        self.pool.touch(page_id)
+        with self._lock:
+            self.pool.touch(page_id)
 
     def _check_size(self, data: bytes) -> None:
         if len(data) > self.params.page_size:
@@ -307,10 +361,34 @@ class SimulatedDisk:
             raise CorruptPageError(page_id, self.owner_of(page_id))
         return data
 
+    def read_decoded(self, page_id: int, decode: Callable[[bytes], T]) -> T:
+        """``decode(read(page_id))``, decoded once per pool residency.
+
+        The page is read exactly as :meth:`read` reads it — same hit/miss
+        and sequential/random accounting, fault injection, checksum and
+        retries.  The result is then the frame kept on the page's pool
+        entry for ``decode`` if it was decoded from the very bytes just
+        read, else a fresh decode that is kept for the next caller.
+        Frames are shared: callers must not mutate them.
+        """
+        data = self.read(page_id)
+        with self._lock:
+            frame = self.pool.frame(page_id, decode, data)
+        if frame is _NO_FRAME:
+            frame = decode(data)
+            with self._lock:
+                self.pool.keep(page_id, decode, data, frame)
+        return frame
+
+    def pooled_frames(self) -> list:
+        """Every kept ``(page_id, decode, data, frame)``, for validators."""
+        with self._lock:
+            return self.pool.frames()
+
     # -- cache control ---------------------------------------------------------------
 
     def drop_cache(self) -> None:
-        """Empty the buffer pool (simulates the paper's cold OS cache)."""
+        """Empty the buffer pool and its frames (the paper's cold OS cache)."""
         with self._lock:
             self.pool.clear()
             self._streams.clear()

@@ -209,13 +209,16 @@ def _run_threads(detector: RaceDetector, bodies, errors: List[str]) -> None:
 def _storm_components(seed: int, ops: int, threads: int) -> ScenarioResult:
     """Hammer the lock-protected leaf components directly.
 
-    The cache, breaker, metrics and I/O counters are the classes whose
-    ``guarded by:`` annotations the static lint enforces; this is the
-    highest-access-density check that the annotations are also *true*.
+    The cache, breaker, metrics, I/O counters and a two-page buffer pool
+    with its decoded frames are the classes whose ``guarded by:``
+    annotations the static lint enforces; this is the highest-access-density
+    check that the annotations are also *true*.
     """
+    from .config import StorageParams
     from .service.breaker import CircuitBreaker
     from .service.cache import GenerationalLRU
     from .service.metrics import ServiceMetrics
+    from .storage.disk import SimulatedDisk
     from .storage.iostats import IOStats
 
     detector = RaceDetector()
@@ -226,6 +229,9 @@ def _storm_components(seed: int, ops: int, threads: int) -> ScenarioResult:
     breaker = CircuitBreaker(threshold=3, cooldown=8)
     metrics = ServiceMetrics(window=64)
     iostats = IOStats()
+    disk = SimulatedDisk(StorageParams(page_size=64, buffer_pool_pages=2))
+    for page in range(4):
+        disk.allocate(bytes([page]) * 8)
 
     watched: List[str] = []
     for obj, label in (
@@ -233,6 +239,7 @@ def _storm_components(seed: int, ops: int, threads: int) -> ScenarioResult:
         (breaker, "breaker"),
         (metrics, "metrics"),
         (iostats, "iostats"),
+        (disk, "disk"),
     ):
         watched.extend(f"{label}.{f}" for f in instrument(obj, detector, label, tracer))
 
@@ -262,10 +269,12 @@ def _storm_components(seed: int, ops: int, threads: int) -> ScenarioResult:
                         degraded=False,
                     )
                     iostats.record_read(sequential=rng.random() < 0.5)
+                    disk.read_decoded(rng.randrange(4), len)
                 else:
                     cache.stats()
                     metrics.snapshot()
                     iostats.as_dict()
+                    disk.drop_cache()
 
         return run
 
@@ -276,10 +285,11 @@ def _storm_components(seed: int, ops: int, threads: int) -> ScenarioResult:
     breaker.state()
     metrics.snapshot()
     iostats.snapshot()
+    disk.pooled_frames()
     result = _finish(
         "components", threads, ops * threads, watched, detector, tracer, errors
     )
-    for obj in (cache, breaker, metrics, iostats):
+    for obj in (cache, breaker, metrics, iostats, disk):
         deinstrument(obj)
     return result
 

@@ -13,6 +13,7 @@ from repro.analysis.invariants import (
     check_dewey_codecs,
     check_elemrank,
     check_engine,
+    check_frames,
     check_index_agreement,
     check_posting_lists,
 )
@@ -112,6 +113,28 @@ class TestBTreeInvariants:
         disk.write(victim, _encode_leaf(entries, prev_page, next_page))
         violations = check_btree(tree)
         assert any("separator" in v.message for v in violations)
+
+    def test_corruption_after_probes_warmed_the_frames_is_caught(self):
+        """Validators and probes read the disk, not a frame of old bytes."""
+        tree, disk = build_tree()
+        keys = [key for key, _ in tree.range_scan(DeweyId((0,)))]
+        for key in keys:
+            tree.ceiling(key)
+            tree.predecessor(key)
+        assert disk.pooled_frames()
+        victim = tree.leaf_pages[1]
+        assert victim in disk.pool
+        prev_page, next_page, entries = _decode_leaf(disk.pages[victim])
+        first_key = entries[0][0]
+        # Bit rot behind the pool's back: the stored bytes change, the
+        # pool entry and its frame stay.
+        entries[0] = (first_key, b"rot")
+        disk.pages[victim] = _encode_leaf(entries, prev_page, next_page)
+        assert tree.ceiling(first_key) == (first_key, b"rot")
+        entries.reverse()
+        disk.pages[victim] = _encode_leaf(entries, prev_page, next_page)
+        violations = check_btree(tree)
+        assert any("order" in v.message for v in violations)
 
     def test_real_engine_btrees_pass(self, engine):
         rdil = engine.index("rdil")
@@ -288,6 +311,21 @@ def test_divergent_evaluator_detected(engine):
         assert any("results" in v.message for v in violations)
     finally:
         engine._evaluators["rdil"] = original
+
+
+def test_frames_match_fresh_decodes_and_a_planted_one_is_caught(engine):
+    assert check_index_agreement(engine) == []  # the query batch warms pools
+    disk = engine.index("rdil").disk
+    frames = disk.pooled_frames()
+    assert frames
+    assert check_frames(engine) == []
+    page_id, decode, data, frame = frames[0]
+    try:
+        disk.pool.keep(page_id, decode, data, "stale")
+        violations = check_frames(engine)
+        assert [v.location for v in violations] == [f"rdil page {page_id}"]
+    finally:
+        disk.pool.keep(page_id, decode, data, frame)
 
 
 def test_single_kind_engine_skips_agreement():

@@ -1,10 +1,27 @@
 """Unit tests for the simulated disk, buffer pool and I/O classification."""
 
+import pickle
+
 import pytest
 
 from repro.config import StorageParams
-from repro.errors import PageError
+from repro.errors import PageError, ReproError, StorageError
+from repro.faults import (
+    SITE_READ_BITFLIP,
+    SITE_READ_ERROR,
+    SITE_READ_TORN,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.storage.disk import BufferPool, SimulatedDisk
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
 
 
 class TestBufferPool:
@@ -29,6 +46,199 @@ class TestBufferPool:
         pool.touch(2)
         pool.clear()
         assert len(pool) == 0
+
+
+    def test_frames_are_not_pickled(self):
+        framed, plain = BufferPool(4), BufferPool(4)
+        for page_id in (3, 1, 2):
+            framed.touch(page_id)
+            plain.touch(page_id)
+        framed.keep(1, len, b"abc", 3)
+        assert framed.frames() == [(1, len, b"abc", 3)]
+        assert pickle.dumps(framed) == pickle.dumps(plain)
+        assert pickle.loads(pickle.dumps(framed)).frames() == []
+
+
+def _count_decode(calls):
+    def decode(page):
+        calls.append(page)
+        return len(page)
+
+    return decode
+
+
+class TestReadDecoded:
+    def make_disk(self, pool=2):
+        disk = SimulatedDisk(StorageParams(page_size=64, buffer_pool_pages=pool))
+        for i in range(3):
+            disk.allocate(bytes([i]) * 4)
+        disk.drop_cache()
+        disk.reset_stats()
+        return disk
+
+    def test_one_decode_per_residency(self):
+        disk = self.make_disk()
+        calls = []
+        decode = _count_decode(calls)
+        for _ in range(3):
+            assert disk.read_decoded(0, decode) == 4
+        assert len(calls) == 1
+        assert (disk.stats.page_reads, disk.stats.cache_hits) == (1, 2)
+
+    def test_each_decoder_keeps_its_own_frame(self):
+        disk = self.make_disk()
+        first, second = [], []
+        disk.read_decoded(0, _count_decode(first))
+        other = _count_decode(second)
+        disk.read_decoded(0, other)
+        disk.read_decoded(0, other)
+        assert (len(first), len(second)) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda disk: disk.write(0, b"xyz"),
+            lambda disk: (disk.free(0), disk.allocate(b"xyz")),
+            lambda disk: disk.drop_cache(),
+            lambda disk: (disk.read(1), disk.read(2)),  # LRU-evicts page 0
+        ],
+        ids=["write", "free-reuse", "drop-cache", "eviction"],
+    )
+    def test_frame_dies_with_its_page(self, change):
+        disk = self.make_disk()
+        calls = []
+        decode = _count_decode(calls)
+        disk.read_decoded(0, decode)
+        change(disk)
+        assert disk.read_decoded(0, decode) == len(disk.pages[0])
+        assert len(calls) == 2
+
+    def test_decode_errors_propagate_and_keep_nothing(self):
+        disk = self.make_disk()
+
+        def refuse(page):
+            raise StorageError("undecodable")
+
+        with pytest.raises(StorageError):
+            disk.read_decoded(0, refuse)
+        assert disk.pooled_frames() == []
+
+
+# Pure decoders for the coherence property; one raises a typed error.
+def _as_tuple(page):
+    return tuple(page)
+
+
+def _checksum_of(page):
+    return sum(page) % 251
+
+
+def _strict(page):
+    if page and page[0] % 3 == 0:
+        raise StorageError("leading byte divisible by three")
+    return page[::-1]
+
+
+_DECODERS = (_as_tuple, _checksum_of, _strict)
+
+
+def _outcome(action):
+    """("ok", value) or the typed error it raised, comparably."""
+    try:
+        return ("ok", action())
+    except ReproError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _faulted_disk(pool_pages, checksums, seed):
+    disk = SimulatedDisk(
+        StorageParams(
+            page_size=64, buffer_pool_pages=pool_pages, checksums=checksums
+        )
+    )
+    for i in range(4):
+        disk.allocate(bytes([i + 1]) * (8 + i))
+    disk.drop_cache()
+    disk.reset_stats()
+    disk.fault_plan = FaultPlan(
+        seed,
+        [
+            FaultSpec(SITE_READ_BITFLIP, probability=0.15),
+            FaultSpec(SITE_READ_TORN, probability=0.2),
+            FaultSpec(SITE_READ_ERROR, probability=0.2),
+        ],
+    )
+    return disk
+
+
+if HAVE_HYPOTHESIS:
+    _PAGE = st.integers(min_value=0, max_value=4)
+    _DATA = st.binary(min_size=1, max_size=48)
+    _READ_DECODED = st.tuples(
+        st.just("read_decoded"), _PAGE, st.integers(0, len(_DECODERS) - 1)
+    )
+    _OPS = st.lists(
+        st.one_of(
+            # Decoded reads twice as often, so frames meet every change.
+            _READ_DECODED,
+            _READ_DECODED,
+            st.tuples(st.just("read"), _PAGE),
+            st.tuples(st.just("write"), _PAGE, _DATA),
+            st.tuples(st.just("free"), _PAGE),
+            st.tuples(st.just("allocate"), _DATA),
+            st.tuples(st.just("drop_cache")),
+        ),
+        min_size=4,
+        max_size=40,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @example(
+        ops=[("read_decoded", 0, 0), ("write", 0, b"\x05"), ("read_decoded", 0, 0)],
+        pool_pages=2,
+        checksums=False,
+        seed=0,
+    )
+    @example(
+        ops=[
+            ("read_decoded", 1, 0),
+            ("free", 1),
+            ("allocate", b"\x07\x07"),
+            ("read_decoded", 1, 0),
+        ],
+        pool_pages=4,
+        checksums=True,
+        seed=0,
+    )
+    @given(
+        ops=_OPS,
+        pool_pages=st.integers(min_value=2, max_value=4),
+        checksums=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_read_decoded_is_coherent_with_read(ops, pool_pages, checksums, seed):
+        """Property: ``read_decoded`` answers exactly ``decode(read(...))``.
+
+        A twin disk under the same fault plan runs every op with plain
+        ``read``; results, typed errors, stored pages and I/O counters must
+        match op for op, whatever writes, frees, reuses, cache drops, bit
+        flips, torn reads and read errors come in between.
+        """
+        framed = _faulted_disk(pool_pages, checksums, seed)
+        twin = _faulted_disk(pool_pages, checksums, seed)
+        for op in ops:
+            name, args = op[0], op[1:]
+            if name == "read_decoded":
+                page_id, which = args
+                decode = _DECODERS[which]
+                got = _outcome(lambda: framed.read_decoded(page_id, decode))
+                want = _outcome(lambda: decode(twin.read(page_id)))
+            else:
+                got = _outcome(lambda: getattr(framed, name)(*args))
+                want = _outcome(lambda: getattr(twin, name)(*args))
+            assert got == want, op
+            assert framed.pages == twin.pages
+            assert framed.stats.as_dict() == twin.stats.as_dict()
 
 
 class TestAllocation:

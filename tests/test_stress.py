@@ -17,6 +17,7 @@ def test_component_storm_is_race_free():
     assert "cache.hits" in scenario.watched_fields
     assert "metrics.searches" in scenario.watched_fields
     assert "iostats.page_reads" in scenario.watched_fields
+    assert "disk.pool" in scenario.watched_fields  # frames ride on the pool
     assert scenario.operations > 0
 
 
