@@ -17,20 +17,22 @@ convergence):
 
 * :mod:`repro.analysis.linter` + :mod:`repro.analysis.rules` — an AST
   lint framework with project rules (deadline-discipline,
-  lock-discipline, cache-generation) and general hygiene rules;
-* :mod:`repro.analysis.locktrace` — opt-in runtime lock instrumentation
-  that builds an acquisition-order graph and reports cycles (potential
-  ABBA deadlocks) and same-thread read re-entry (the self-deadlock
-  hazard of a writer-preference lock);
+  lock-discipline, cache-generation, guarded-by) and general hygiene
+  rules;
+* :mod:`repro.analysis.races` — the one opt-in runtime lock monitor: its
+  :class:`~repro.analysis.races.RaceDetector` wraps locks and
+  instruments ``guarded by:`` fields, and reports data races (lockset +
+  happens-before), lock-order cycles (potential ABBA deadlocks) and
+  same-thread read re-entry / upgrade hazards of the writer-preference
+  lock in one report;
 * :mod:`repro.analysis.invariants` — deep validators for the built
   index structures;
-* :mod:`repro.analysis.check` — the ``repro check`` driver wiring all
-  three into one CLI subcommand / CI gate.
+* :mod:`repro.analysis.check` — the ``repro check`` driver wiring them
+  into one CLI subcommand / CI gate.
 """
 
 from .invariants import InvariantViolation, check_engine
 from .linter import LintConfig, Linter, LintRule, Violation, load_lint_config
-from .locktrace import LockOrderReport, LockTracer
 from .rules import ALL_RULES, default_rules
 
 __all__ = [
@@ -39,8 +41,6 @@ __all__ = [
     "LintConfig",
     "Linter",
     "LintRule",
-    "LockOrderReport",
-    "LockTracer",
     "Violation",
     "check_engine",
     "default_rules",

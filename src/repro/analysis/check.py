@@ -1,4 +1,4 @@
-"""The ``repro check`` driver: lint + (strict) invariants + lock tracing.
+"""The ``repro check`` driver: lint + (strict) invariants + race detection.
 
 Plain ``repro check`` lints the source tree with the project rules.
 ``--strict`` — the CI gate — additionally:
@@ -8,14 +8,13 @@ Plain ``repro check`` lints the source tree with the project rules.
   against them (:mod:`repro.analysis.invariants`), ending with a
   seeded query batch after which every pooled B+-tree frame must equal
   a fresh decode of its page;
-* runs the lock tracer twice: a *self-test* seeding a deliberate ABBA
-  acquisition plus a same-thread nested read (both MUST be detected, so
-  a silently broken detector fails the build), then a *live* trace of an
-  :class:`~repro.service.core.XRankService` under concurrent searches
-  and writes, which must come back clean;
-* runs a race-detector *self-test* (a planted unguarded counter MUST
-  race) followed by a reduced :mod:`repro.stress` storm, which must come
-  back race-free;
+* runs the race detector's self-test (:func:`repro.analysis.races.selftest`:
+  a planted ABBA ordering, a nested read and an unguarded counter MUST
+  each be reported, so a silently blinded detector fails the build),
+  then a reduced :mod:`repro.stress` storm — components, a live
+  :class:`~repro.service.core.XRankService` under concurrent readers and
+  a writer over its traced lock, and a sharded cluster — which must come
+  back free of races, lock-order cycles, hazards and thread errors;
 * runs the cluster identity battery
   (:func:`repro.cluster.verify.verify_cluster_identity`): sharded
   serving at shard counts 1/2/4 must return bit-for-bit the single-node
@@ -35,15 +34,14 @@ Exit code 0 means every gate passed.
 
 from __future__ import annotations
 
-import json
 import sys
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from ..harness import canonical_json
 from .invariants import check_engine, check_parallel_build
 from .linter import LintConfig, Linter, load_lint_config
-from .locktrace import LockTracer
+from .races import selftest
 from .rules import ALL_RULES, default_rules
 
 #: Small nested corpus with known co-occurrences (xql+language in two
@@ -124,149 +122,16 @@ def build_check_engine():
     return engine
 
 
-# -- lock tracer gates -------------------------------------------------------------
-
-
-def locktrace_selftest() -> List[str]:
-    """Seed an ABBA cycle and a nested read; both MUST be detected.
-
-    Returns failure messages when the detector misses either — a lock
-    tracer that cannot see a planted deadlock is worse than none.
-    """
-    from ..errors import LockUsageError
-    from ..service.concurrency import ReadWriteLock
-
-    failures: List[str] = []
-
-    tracer = LockTracer()
-    lock_a = tracer.wrap(ReadWriteLock(), "a")
-    lock_b = tracer.wrap(ReadWriteLock(), "b")
-    with lock_a.read():
-        with lock_b.read():
-            pass
-    with lock_b.read():
-        with lock_a.read():
-            pass
-    if not tracer.report().cycles:
-        failures.append(
-            "lock tracer self-test: seeded ABBA acquisition produced no cycle"
-        )
-
-    tracer = LockTracer()
-    lock_c = tracer.wrap(ReadWriteLock(), "c")
-    lock_c.acquire_read()
-    try:
-        lock_c.acquire_read()
-    except LockUsageError:
-        pass  # expected: ReadWriteLock refuses the re-entry outright
-    else:
-        lock_c.release_read()
-        failures.append(
-            "lock self-test: nested same-thread acquire_read() did not raise"
-        )
-    finally:
-        lock_c.release_read()
-    if not tracer.report().reentrant_reads:
-        failures.append(
-            "lock tracer self-test: nested read re-entry was not recorded"
-        )
-    return failures
-
-
-def locktrace_service_smoke(engine) -> List[str]:
-    """Trace a live service under reader/writer contention; must be clean."""
-    from ..service.core import XRankService
-
-    service = XRankService(
-        engine, result_cache_size=16, list_cache_size=16, max_concurrent=4
-    )
-    tracer = LockTracer()
-    service.lock = tracer.wrap(service.lock, "service")
-
-    errors: List[str] = []
-
-    def reader() -> None:
-        try:
-            for query in ("xql language", "ranking", "element trees"):
-                service.search(query, m=5)
-                service.stats()
-                service.healthz()
-        except Exception as exc:  # surfaced below; smoke must not hang
-            errors.append(f"reader thread failed: {exc!r}")
-
-    def writer() -> None:
-        try:
-            service.add_xml(
-                "<doc><title>late arrival</title><body>the xql language "
-                "again</body></doc>",
-                uri="late.xml",
-            )
-        except Exception as exc:
-            errors.append(f"writer thread failed: {exc!r}")
-
-    threads = [threading.Thread(target=reader) for _ in range(3)]
-    threads.append(threading.Thread(target=writer))
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    report = tracer.report()
-    failures = list(errors)
-    for cycle in report.cycles:
-        failures.append(
-            "service lock trace: order cycle " + " -> ".join(cycle)
-        )
-    for hazard in report.reentrant_reads:
-        failures.append("service lock trace: " + hazard)
-    if report.acquisitions == 0:
-        failures.append("service lock trace: no acquisitions recorded")
-    return failures
-
-
-# -- race detector gates -----------------------------------------------------------
-
-
-def race_selftest() -> List[str]:
-    """A planted unguarded counter MUST be reported as a race.
-
-    The dynamic detector is only trustworthy while a known race still
-    trips it — a refactor that silently blinds the hooks would otherwise
-    turn every later "race-free" verdict into noise.
-    """
-    from .races import RaceDetector, deinstrument, instrument
-
-    class _Unguarded:
-        def __init__(self):
-            self.count = 0
-
-    detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
-    victim = _Unguarded()
-    instrument(victim, detector, "selftest", tracer, fields={"count": None})
-    barrier = threading.Barrier(2)
-
-    def hammer() -> None:
-        barrier.wait()
-        for _ in range(50):
-            victim.count += 1
-
-    threads = [detector.thread(target=hammer) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        detector.join(thread)
-    report = detector.report()
-    deinstrument(victim)
-    if report.clean:
-        return [
-            "race detector self-test: planted unguarded counter produced "
-            "no race finding"
-        ]
-    return []
+# -- race detector gate ------------------------------------------------------------
 
 
 def race_smoke() -> List[str]:
-    """A reduced stress storm over service + cluster; must be race-free."""
+    """A reduced stress storm over components, service and cluster.
+
+    Must come back free of races, lock-order cycles and scenario errors
+    (thread exceptions, hung threads, lock hazards, an untouched service
+    lock).
+    """
     from ..stress import run_stress
 
     report = run_stress(seed=0, ops_scale=0.5)
@@ -280,7 +145,7 @@ def race_smoke() -> List[str]:
                 f"{first['site']} vs {second['op']} at {second['site']}"
             )
         for error in scenario.errors:
-            failures.append(f"stress {scenario.name}: thread error: {error}")
+            failures.append(f"stress {scenario.name}: error: {error}")
         for cycle in scenario.lock_cycles:
             failures.append(
                 f"stress {scenario.name}: lock cycle " + " -> ".join(cycle)
@@ -378,89 +243,58 @@ def run_check(
     }
 
     if strict:
-        gates: Dict[str, List[str]] = {}
-
-        engine = build_check_engine()
-        invariant_violations = check_engine(engine)
-        for violation in invariant_violations:
-            print(violation.format(), file=out)
-        failures += len(invariant_violations)
-        gates["invariants"] = [v.format() for v in invariant_violations]
-        print(
-            f"invariants: {len(invariant_violations)} violation(s) over "
-            f"kinds {', '.join(_CHECK_KINDS)}",
-            file=out,
-        )
-
-        parallel_violations = check_parallel_build(_CHECK_CORPUS)
-        for violation in parallel_violations:
-            print(violation.format(), file=out)
-        failures += len(parallel_violations)
-        gates["parallel_build"] = [v.format() for v in parallel_violations]
-        print(
-            f"parallel-build: {len(parallel_violations)} violation(s) "
-            "(workers 2/3 vs sequential, byte-identity)",
-            file=out,
-        )
-
-        lock_failures = locktrace_selftest() + locktrace_service_smoke(engine)
-        for failure in lock_failures:
-            print(failure, file=out)
-        failures += len(lock_failures)
-        gates["locktrace"] = list(lock_failures)
-        print(f"locktrace: {len(lock_failures)} failure(s)", file=out)
-
-        race_failures = race_selftest() + race_smoke()
-        for failure in race_failures:
-            print(failure, file=out)
-        failures += len(race_failures)
-        gates["races"] = list(race_failures)
-        print(
-            f"race-smoke: {len(race_failures)} failure(s) "
-            "(self-test + reduced stress storm)",
-            file=out,
-        )
-
         from ..cluster.verify import verify_cluster_identity
-
-        # Smaller than the CLI battery's defaults: the strict gate runs
-        # on every CI push, so one replica and a compact corpus — the
-        # shard-count sweep is what carries the correctness argument.
-        cluster_violations = verify_cluster_identity(
-            shard_counts=(1, 2, 4), num_papers=18, m=8
-        )
-        for violation in cluster_violations:
-            print(f"cluster identity: {violation}", file=out)
-        failures += len(cluster_violations)
-        gates["cluster_identity"] = [str(v) for v in cluster_violations]
-        print(
-            f"cluster-identity: {len(cluster_violations)} violation(s) "
-            "(shards 1/2/4 vs single-node, bit-for-bit)",
-            file=out,
-        )
-
         from ..durability.verify import check_durability
 
-        # A reduced crash-point sweep: structural boundaries + a few
-        # seeded interior offsets + every write-side fault site, each
-        # proving recover-or-fallback with bit-identical answers.
-        durability_failures = check_durability()
-        for failure in durability_failures:
-            print(failure, file=out)
-        failures += len(durability_failures)
-        gates["durability"] = list(durability_failures)
-        print(
-            f"durability: {len(durability_failures)} failure(s) "
-            "(crash-point sweep, recover-or-fallback)",
-            file=out,
-        )
-
-        report["gates"] = gates
-        for gate, messages in gates.items():
+        gates: Dict[str, List[str]] = {}
+        for gate, check, summary in (
+            (
+                "invariants",
+                lambda: [v.format() for v in check_engine(build_check_engine())],
+                f"kinds {', '.join(_CHECK_KINDS)}",
+            ),
+            (
+                "parallel_build",
+                lambda: [v.format() for v in check_parallel_build(_CHECK_CORPUS)],
+                "workers 2/3 vs sequential, byte-identity",
+            ),
+            (
+                "races",
+                lambda: selftest() + race_smoke(),
+                "detector self-test + reduced stress storm",
+            ),
+            (
+                # Smaller than the CLI battery's defaults: the strict gate
+                # runs on every CI push, so one replica and a compact
+                # corpus — the shard-count sweep carries the argument.
+                "cluster_identity",
+                lambda: [
+                    str(v)
+                    for v in verify_cluster_identity(
+                        shard_counts=(1, 2, 4), num_papers=18, m=8
+                    )
+                ],
+                "shards 1/2/4 vs single-node, bit-for-bit",
+            ),
+            (
+                # A reduced crash-point sweep: structural boundaries + a
+                # few seeded interior offsets + every write-side fault
+                # site, each proving recover-or-fallback.
+                "durability",
+                check_durability,
+                "crash-point sweep, recover-or-fallback",
+            ),
+        ):
+            messages = check()
             for message in messages:
+                print(message, file=out)
                 annotations.append(
                     _github_annotation("", 0, f"repro-check [{gate}]", message)
                 )
+            failures += len(messages)
+            gates[gate] = messages
+            print(f"{gate}: {len(messages)} failure(s) ({summary})", file=out)
+        report["gates"] = gates
 
     report["failures"] = failures
     report["ok"] = not failures
@@ -469,7 +303,7 @@ def run_check(
         for annotation in annotations:
             print(annotation, file=out)
     if json_path:
-        payload = json.dumps(report, indent=2, sort_keys=True)
+        payload = canonical_json(report)
         if json_path == "-":
             print(payload, file=out)
         else:

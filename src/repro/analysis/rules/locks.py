@@ -76,10 +76,10 @@ class RawLockRule(LintRule):
 
     ``service/`` and ``cluster/`` state is supposed to live behind
     :class:`~repro.service.concurrency.GuardedLock` — a *named* mutex the
-    lock-order tracer and the race detector can wrap and report on.  An
-    anonymous ``threading.Lock()`` is invisible to both: it cannot appear
-    in a :class:`LockOrderReport` cycle and the stress harness cannot
-    build happens-before edges through it.  A site that genuinely needs a
+    race detector can wrap and report on.  An anonymous
+    ``threading.Lock()`` is invisible to it: it cannot appear in a
+    lock-order cycle and the stress harness cannot build happens-before
+    edges through it.  A site that genuinely needs a
     raw primitive (the one construction site inside ``GuardedLock``
     itself, say) carries ``# repro: ignore[raw-lock]`` with the reason.
     """

@@ -5,9 +5,12 @@
 injected worker crashes and run-file corruption, checksummed storage
 with injected read errors / torn reads / bit rot / stalls, and the
 serving layer's retry + circuit-breaker machinery.  Every query is then
-classified against the oracle:
+classified against the oracle by the shared verdict
+(:class:`~repro.harness.Verdicts`):
 
-* ``match`` — answer identical to the fault-free engine's;
+* ``match`` — exact ``(dewey, rank)`` list identical to the fault-free
+  engine's (the faulted build is byte-identical by contract, so no
+  rounding is allowed);
 * ``degraded`` — flagged degraded (deadline, fallback kind, fault note);
 * ``typed_error`` — a :class:`~repro.errors.ReproError` subclass escaped;
 * ``mismatch`` — **silent wrong answer** (undegraded, unflagged, wrong);
@@ -26,7 +29,6 @@ bit-for-bit identically (the CI ``chaos-smoke`` job diffs them).
 
 from __future__ import annotations
 
-import json
 import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -34,7 +36,6 @@ from typing import Dict, List, Optional
 from .config import StorageParams, XRankConfig
 from .datasets import generate_dblp, random_queries
 from .engine import XRankEngine
-from .errors import ReproError
 from .faults import (
     READ_SITES,
     SITE_READ_SLOW,
@@ -43,14 +44,12 @@ from .faults import (
     FaultPlan,
     FaultSpec,
 )
+from .harness import CanonicalReport, Verdicts, fingerprint
 from .service.core import XRankService
-
-#: Outcome labels, in report order.
-OUTCOMES = ("match", "degraded", "typed_error", "mismatch", "untyped_error")
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(CanonicalReport):
     """Deterministic result of one chaos run (no wall-clock data)."""
 
     seed: int = 0
@@ -67,33 +66,6 @@ class ChaosReport:
     io: Dict[str, object] = field(default_factory=dict)
     breaker_trips: int = 0
     ok: bool = True
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable view (CLI output, CI gate)."""
-        return {
-            "seed": self.seed,
-            "fault_rate": self.fault_rate,
-            "kind": self.kind,
-            "documents": self.documents,
-            "queries": self.queries,
-            "outcomes": dict(self.outcomes),
-            "violations": list(self.violations),
-            "build_retries": self.build_retries,
-            "build_faults": self.build_faults,
-            "query_faults": self.query_faults,
-            "io": self.io,
-            "breaker_trips": self.breaker_trips,
-            "ok": self.ok,
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialization (the bit-for-bit comparison format)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def _signature(hits) -> List[List[object]]:
-    """Order-sensitive answer fingerprint for oracle comparison."""
-    return [[hit.dewey, round(hit.rank, 9)] for hit in hits]
 
 
 def run_chaos(
@@ -170,47 +142,22 @@ def run_chaos(
         num_queries=num_queries,
         seed=seed ^ 0x5EED,
     )
-    outcomes = {name: 0 for name in OUTCOMES}
+    verdicts = Verdicts()
     for keywords in workload:
         query = " ".join(keywords)
-        expected = _signature(oracle.search(query, m=10, kind=kind))
-        try:
+
+        def ask():
             response = service.search(query, m=10, kind=kind)
-        except ReproError:
-            outcomes["typed_error"] += 1
-            continue
-        except Exception as exc:  # noqa: BLE001 — the invariant check
-            outcomes["untyped_error"] += 1
-            report.violations.append(
-                {
-                    "query": query,
-                    "outcome": "untyped_error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            continue
-        if response.degraded:
-            outcomes["degraded"] += 1
-        elif _signature(response.hits) == expected:
-            outcomes["match"] += 1
-        else:
-            outcomes["mismatch"] += 1
-            report.violations.append(
-                {
-                    "query": query,
-                    "outcome": "mismatch",
-                    "expected": expected,
-                    "got": _signature(response.hits),
-                }
-            )
+            return response.degraded, fingerprint(response.hits)
+
+        verdicts.judge(
+            ask, fingerprint(oracle.search(query, m=10, kind=kind)), query=query
+        )
     report.queries = len(workload)
-    report.outcomes = outcomes
+    report.outcomes = verdicts.outcomes
+    report.violations = verdicts.violations
     report.query_faults = query_plan.counters()
     report.io = service.io_totals().as_dict()
     report.breaker_trips = service.breaker.trips
-    report.ok = (
-        outcomes["mismatch"] == 0
-        and outcomes["untyped_error"] == 0
-        and report.queries > 0
-    )
+    report.ok = verdicts.ok and report.queries > 0
     return report

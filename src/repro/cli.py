@@ -790,7 +790,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
         keep_dir=args.keep_dir,
     )
     if args.json:
-        print(report.to_json(), end="")
+        print(report.to_json())
     else:
         print(
             f"durability verify seed={report.seed}: {report.cases} crash "

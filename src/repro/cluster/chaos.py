@@ -23,19 +23,16 @@ carry no wall-clock data and serialize bit-for-bit reproducibly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..errors import ReproError, ServiceHTTPError
+from ..errors import ServiceHTTPError
+from ..harness import CanonicalReport, Verdicts
 from ..service.client import ServiceClient
 from .coordinator import ReplicaEndpoint
 from .local import LocalCluster
 from .verify import default_cluster_corpus, single_node_oracle
-
-#: Outcome labels, in report order (mirrors repro.chaos.OUTCOMES).
-OUTCOMES = ("match", "degraded", "typed_error", "mismatch", "untyped_error")
 
 
 class RPCFaultInjector:
@@ -104,7 +101,7 @@ class FaultableClient:
 
 
 @dataclass
-class ClusterChaosReport:
+class ClusterChaosReport(CanonicalReport):
     """Deterministic result of one cluster chaos run (no wall clock)."""
 
     seed: int = 0
@@ -127,34 +124,6 @@ class ClusterChaosReport:
     breaker_trips: int = 0
     degraded_with_missing_shards: int = 0
     ok: bool = True
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "shards": self.shards,
-            "replicas": self.replicas,
-            "kind": self.kind,
-            "documents": self.documents,
-            "queries": self.queries,
-            "kill_rate": self.kill_rate,
-            "rpc_fault_rate": self.rpc_fault_rate,
-            "outcomes": dict(self.outcomes),
-            "violations": list(self.violations),
-            "kills": self.kills,
-            "restarts": self.restarts,
-            "rejoins": self.rejoins,
-            "snapshot_recoveries": self.snapshot_recoveries,
-            "snapshot_fallbacks": self.snapshot_fallbacks,
-            "rpc_faults_injected": self.rpc_faults_injected,
-            "failovers": self.failovers,
-            "breaker_trips": self.breaker_trips,
-            "degraded_with_missing_shards": self.degraded_with_missing_shards,
-            "ok": self.ok,
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialization (bit-for-bit comparable across runs)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def run_cluster_chaos(
@@ -200,6 +169,7 @@ def run_cluster_chaos(
     injector = RPCFaultInjector(seed=seed, rate=rpc_fault_rate)
     scheduler = random.Random(seed * 7919 + 13)
 
+    verdicts = Verdicts()
     report = ClusterChaosReport(
         seed=seed,
         shards=shards,
@@ -209,7 +179,8 @@ def run_cluster_chaos(
         queries=len(queries),
         kill_rate=kill_rate,
         rpc_fault_rate=rpc_fault_rate,
-        outcomes={outcome: 0 for outcome in OUTCOMES},
+        outcomes=verdicts.outcomes,
+        violations=verdicts.violations,
     )
 
     snapshot_scratch = tempfile.TemporaryDirectory(prefix="repro-chaos-snap-")
@@ -257,51 +228,20 @@ def run_cluster_chaos(
                 report.restarts += 1
 
             # -- the query, classified against the oracle -------------------
-            expected = oracle.search(query, m=m, kind=kind).to_dict()[
-                "results"
-            ]
-            try:
+            def ask():
                 response = cluster.search(
                     query, m=m, kind=kind, deadline_ms=None
                 ).to_dict()
-            except ReproError:
-                report.outcomes["typed_error"] += 1
-                continue
-            except Exception as exc:  # noqa: BLE001 — classification point
-                report.outcomes["untyped_error"] += 1
-                report.violations.append(
-                    {
-                        "query_number": number,
-                        "query": query,
-                        "outcome": "untyped_error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-                continue
-
-            if response["degraded"]:
-                report.outcomes["degraded"] += 1
-                if response["cluster"]["missing_shards"]:
+                if response["degraded"] and response["cluster"]["missing_shards"]:
                     report.degraded_with_missing_shards += 1
-                continue
-            if response["results"] == expected:
-                report.outcomes["match"] += 1
-            else:
-                report.outcomes["mismatch"] += 1
-                report.violations.append(
-                    {
-                        "query_number": number,
-                        "query": query,
-                        "outcome": "mismatch",
-                        "expected": [
-                            hit["dewey"] for hit in expected[:3]
-                        ],
-                        "actual": [
-                            hit["dewey"]
-                            for hit in response["results"][:3]
-                        ],
-                    }
-                )
+                return response["degraded"], response["results"]
+
+            verdicts.judge(
+                ask,
+                oracle.search(query, m=m, kind=kind).to_dict()["results"],
+                query_number=number,
+                query=query,
+            )
         coordinator = cluster.coordinator
         report.failovers = coordinator.failovers
         report.breaker_trips = coordinator.breaker.trips
@@ -310,8 +250,5 @@ def run_cluster_chaos(
             report.snapshot_recoveries += counters["recoveries"]
             report.snapshot_fallbacks += counters["fallbacks"]
     report.rpc_faults_injected = injector.injected
-    report.ok = (
-        report.outcomes["mismatch"] == 0
-        and report.outcomes["untyped_error"] == 0
-    )
+    report.ok = verdicts.ok
     return report

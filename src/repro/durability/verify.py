@@ -19,7 +19,6 @@ report of the surviving wreckage.
 
 from __future__ import annotations
 
-import json
 import random
 import shutil
 import tempfile
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import PowerCutError, SnapshotError, SnapshotWriteError
+from ..errors import SnapshotError
 from ..faults import (
     SITE_FSYNC_DROPPED,
     SITE_POWERCUT,
@@ -36,7 +35,8 @@ from ..faults import (
     FaultPlan,
     FaultSpec,
 )
-from .format import FRAME_OVERHEAD, HEADER_SIZE
+from ..harness import CanonicalReport, fingerprint
+from .format import HEADER_SIZE
 from .io import CrashSimulator
 from .store import SnapshotStore
 
@@ -91,13 +91,12 @@ def _build_engine(extra: bool):
 def _answers(engine) -> List[List[Tuple[str, float]]]:
     """The oracle fingerprint: (dewey, rank) lists per fixed query."""
     return [
-        [(hit.dewey, hit.rank) for hit in engine.search(query, m=10, kind=_KINDS[0])]
-        for query in _QUERIES
+        fingerprint(engine.search(query, m=10, kind=_KINDS[0])) for query in _QUERIES
     ]
 
 
 @dataclass
-class DurabilityReport:
+class DurabilityReport(CanonicalReport):
     """Outcome of one battery run (canonical-JSON serializable)."""
 
     seed: int = 0
@@ -112,22 +111,6 @@ class DurabilityReport:
     @property
     def ok(self) -> bool:
         return not self.violations and self.cases > 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "seed": self.seed,
-            "offsets_swept": self.offsets_swept,
-            "cases": self.cases,
-            "recovered_new": self.recovered_new,
-            "recovered_previous": self.recovered_previous,
-            "fallbacks_seen": self.fallbacks_seen,
-            "site_outcomes": dict(sorted(self.site_outcomes.items())),
-            "violations": list(self.violations),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _crash_offsets(
@@ -211,29 +194,39 @@ def verify_durability(
         offsets = _crash_offsets(total, part_sizes, seed, interior_offsets)
         report.offsets_swept = len(offsets)
 
-        def run_case(label: str, sim: CrashSimulator, expect_typed: bool) -> None:
+        def run_case(label: str, sim: CrashSimulator, expect: str) -> None:
+            """Save generation 2 under ``sim``, restart, judge the recovery.
+
+            ``expect`` is what the save itself must do: ``"crash"`` (a
+            byte offset may or may not land inside the write stream),
+            ``"fire"`` (an armed write-side site must raise typed) or
+            ``"silent"`` (a dropped fsync must not surface; a power cut
+            after the save then eats whatever it left in the cache).
+            """
             case_dir = scratch_root / "case"
             if case_dir.exists():
                 shutil.rmtree(case_dir)
             shutil.copytree(base, case_dir)
-            store = SnapshotStore(case_dir, part_bytes=part_bytes)
-            outcome = "save_completed"
             try:
-                store.save(engine_v2, sim=sim)
-            except (PowerCutError, SnapshotWriteError):
-                outcome = "save_crashed"
+                SnapshotStore(case_dir, part_bytes=part_bytes).save(engine_v2, sim=sim)
             except SnapshotError as exc:
-                outcome = f"save_failed_typed:{type(exc).__name__}"
+                if expect == "silent":
+                    report.violations.append(
+                        f"{label}: a dropped fsync must be silent, but the "
+                        f"writer raised {type(exc).__name__}: {exc}"
+                    )
+                    return
             except Exception as exc:  # untyped escape is itself a violation
                 report.violations.append(
                     f"{label}: untyped {type(exc).__name__} escaped the writer: {exc}"
                 )
                 return
-            if expect_typed and outcome == "save_completed":
-                # A plan armed with times=1 must actually fire.
-                report.violations.append(
-                    f"{label}: armed fault site never fired"
-                )
+            else:
+                if expect == "fire":
+                    # A plan armed with times=1 must actually fire.
+                    report.violations.append(f"{label}: armed fault site never fired")
+                elif expect == "silent":
+                    sim.crash()
             # The dead volume must not block recovery: restart means a
             # fresh process reading whatever survived on disk.
             try:
@@ -269,7 +262,7 @@ def verify_durability(
                     CrashSimulator(
                         crash_at_byte=offset, keep_unsynced=keep_unsynced
                     ),
-                    expect_typed=False,
+                    expect="crash",
                 )
 
         # -- the seeded fault-site battery ------------------------------
@@ -280,7 +273,10 @@ def verify_durability(
         skips = tuple(
             skip for skip in (0, 1, 2, 3, 5, 8, 13) if skip < write_calls
         )
-        for site in (SITE_WRITE_ERROR, SITE_WRITE_TORN, SITE_POWERCUT):
+        # Dropped fsyncs are silent: the save "succeeds", then the power
+        # dies and eats whatever the dropped fsync left in the cache.
+        sites = (SITE_WRITE_ERROR, SITE_WRITE_TORN, SITE_POWERCUT, SITE_FSYNC_DROPPED)
+        for site in sites:
             for skip in skips:
                 plan = FaultPlan(
                     seed, [FaultSpec(site, probability=1.0, times=1, skip=skip)]
@@ -288,53 +284,7 @@ def verify_durability(
                 run_case(
                     f"site={site},skip={skip}",
                     CrashSimulator(plan=plan),
-                    expect_typed=True,
-                )
-        # Dropped fsyncs are silent: the save "succeeds", then the power
-        # dies and eats whatever the dropped fsync left in the cache.
-        for skip in skips:
-            plan = FaultPlan(
-                seed,
-                [FaultSpec(SITE_FSYNC_DROPPED, probability=1.0, times=1, skip=skip)],
-            )
-            sim = CrashSimulator(plan=plan)
-            case_dir = scratch_root / "case"
-            if case_dir.exists():
-                shutil.rmtree(case_dir)
-            shutil.copytree(base, case_dir)
-            store = SnapshotStore(case_dir, part_bytes=part_bytes)
-            label = f"site={SITE_FSYNC_DROPPED},skip={skip}"
-            try:
-                store.save(engine_v2, sim=sim)
-            except SnapshotError as exc:
-                report.violations.append(
-                    f"{label}: a dropped fsync must be silent, but the "
-                    f"writer raised {type(exc).__name__}: {exc}"
-                )
-                continue
-            sim.crash()  # post-save power cut exposes the dropped fsync
-            try:
-                recovered, _info = SnapshotStore(
-                    case_dir, part_bytes=part_bytes
-                ).recover()
-            except SnapshotError as exc:
-                report.violations.append(
-                    f"{label}: recovery failed outright "
-                    f"({type(exc).__name__}: {exc})"
-                )
-                continue
-            answers = _answers(recovered)
-            report.cases += 1
-            if answers == oracle_v2:
-                report.recovered_new += 1
-                report.site_outcomes[label] = "recovered_new"
-            elif answers == oracle_v1:
-                report.recovered_previous += 1
-                report.fallbacks_seen += 1
-                report.site_outcomes[label] = "recovered_previous"
-            else:
-                report.violations.append(
-                    f"{label}: answers match neither oracle — mixed state"
+                    expect="silent" if site == SITE_FSYNC_DROPPED else "fire",
                 )
 
         if report.fallbacks_seen == 0:

@@ -20,13 +20,16 @@ what the CI ``race-smoke`` job diffs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, List, Optional, Sequence
 
-from .analysis.locktrace import LockTracer
 from .analysis.races import RaceDetector, deinstrument, instrument
+from .harness import CanonicalReport
+
+#: Seconds to wait for each storm thread; one still running after that
+#: is hung or deadlocked, and is reported as a scenario error.
+JOIN_TIMEOUT_S = 120.0
 
 #: Queries the storms draw from — all hit the stress corpus below.
 _QUERIES = (
@@ -85,8 +88,13 @@ _CORPUS = [
 
 
 @dataclass
-class ScenarioResult:
-    """One storm's outcome, reduced to its deterministic facts."""
+class ScenarioResult(CanonicalReport):
+    """One storm's outcome, reduced to its deterministic facts.
+
+    Planned facts and findings only — nothing scheduler-dependent.
+    """
+
+    VERDICT = "clean"
 
     name: str
     threads: int
@@ -100,23 +108,12 @@ class ScenarioResult:
     def clean(self) -> bool:
         return not (self.races or self.errors or self.lock_cycles)
 
-    def to_dict(self) -> Dict[str, object]:
-        """Planned facts and findings only — nothing scheduler-dependent."""
-        return {
-            "name": self.name,
-            "threads": self.threads,
-            "operations": self.operations,
-            "watched_fields": list(self.watched_fields),
-            "races": list(self.races),
-            "errors": list(self.errors),
-            "lock_cycles": [list(c) for c in self.lock_cycles],
-            "clean": self.clean,
-        }
-
 
 @dataclass
-class StressReport:
+class StressReport(CanonicalReport):
     """Every scenario's result for one ``repro stress`` invocation."""
+
+    VERDICT = "clean"
 
     seed: int
     scenarios: List[ScenarioResult] = field(default_factory=list)
@@ -124,18 +121,6 @@ class StressReport:
     @property
     def clean(self) -> bool:
         return all(s.clean for s in self.scenarios)
-
-    def to_dict(self) -> Dict[str, object]:
-        """The canonical report payload (see :meth:`to_json`)."""
-        return {
-            "seed": self.seed,
-            "clean": self.clean,
-            "scenarios": [s.to_dict() for s in self.scenarios],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Canonical JSON: bit-for-bit stable across clean same-seed runs."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def describe(self) -> str:
         """Human-readable per-scenario summary with every finding."""
@@ -167,25 +152,31 @@ def _finish(
     operations: int,
     watched: Sequence[str],
     detector: RaceDetector,
-    tracer: LockTracer,
     errors: List[str],
 ) -> ScenarioResult:
-    """Fold a finished storm's detector/tracer state into a result."""
-    race_report = detector.report()
-    lock_report = tracer.report()
+    """Fold a finished storm's detector state into a result.
+
+    Lock hazards ride in ``errors`` so the canonical report keeps one
+    shape; a clean run has none.
+    """
+    report = detector.report()
     return ScenarioResult(
         name=name,
         threads=threads,
         operations=operations,
         watched_fields=sorted(watched),
-        races=[r.to_dict() for r in race_report.races],
-        errors=sorted(errors),
-        lock_cycles=[list(c) for c in lock_report.cycles],
+        races=[r.to_dict() for r in report.races],
+        errors=sorted(errors + [f"lock hazard: {h}" for h in report.hazards]),
+        lock_cycles=[list(c) for c in report.cycles],
     )
 
 
 def _run_threads(detector: RaceDetector, bodies, errors: List[str]) -> None:
-    """Start one detector-wired thread per body; join them all."""
+    """Start one detector-wired thread per body; join them all.
+
+    A thread still running after :data:`JOIN_TIMEOUT_S` is an error: a
+    deadlocked storm must not come back clean.
+    """
 
     def guarded(body):
         def runner() -> None:
@@ -199,8 +190,12 @@ def _run_threads(detector: RaceDetector, bodies, errors: List[str]) -> None:
     threads = [detector.thread(target=guarded(body)) for body in bodies]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        detector.join(thread)
+    for index, thread in enumerate(threads):
+        if not detector.join(thread, timeout=JOIN_TIMEOUT_S):
+            errors.append(
+                f"thread {index} still running after {JOIN_TIMEOUT_S:g}s: "
+                "hung or deadlocked"
+            )
 
 
 # -- scenario: component storm ------------------------------------------------------
@@ -222,7 +217,6 @@ def _storm_components(seed: int, ops: int, threads: int) -> ScenarioResult:
     from .storage.iostats import IOStats
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     errors: List[str] = []
 
     cache = GenerationalLRU(16, name="stress")
@@ -241,7 +235,7 @@ def _storm_components(seed: int, ops: int, threads: int) -> ScenarioResult:
         (iostats, "iostats"),
         (disk, "disk"),
     ):
-        watched.extend(f"{label}.{f}" for f in instrument(obj, detector, label, tracer))
+        watched.extend(f"{label}.{f}" for f in instrument(obj, detector, label))
 
     def body(index: int):
         rng = Random(f"{seed}:components:{index}")
@@ -287,7 +281,7 @@ def _storm_components(seed: int, ops: int, threads: int) -> ScenarioResult:
     iostats.snapshot()
     disk.pooled_frames()
     result = _finish(
-        "components", threads, ops * threads, watched, detector, tracer, errors
+        "components", threads, ops * threads, watched, detector, errors
     )
     for obj in (cache, breaker, metrics, iostats, disk):
         deinstrument(obj)
@@ -305,7 +299,6 @@ def _storm_service(seed: int, ops: int, threads: int) -> ScenarioResult:
     from .obs import Tracer, validate_trace
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     errors: List[str] = []
 
     engine = XRankEngine()
@@ -319,7 +312,7 @@ def _storm_service(seed: int, ops: int, threads: int) -> ScenarioResult:
         # structural invariants below.
         tracer=Tracer(sample="always", buffer_size=512),
     )
-    service.lock = tracer.wrap(service.lock, "service.lock")
+    service.lock = detector.wrap(service.lock, "service.lock")
 
     watched: List[str] = []
     for obj, label in (
@@ -328,7 +321,7 @@ def _storm_service(seed: int, ops: int, threads: int) -> ScenarioResult:
         (service.metrics, "service.metrics"),
         (service.breaker, "service.breaker"),
     ):
-        watched.extend(f"{label}.{f}" for f in instrument(obj, detector, label, tracer))
+        watched.extend(f"{label}.{f}" for f in instrument(obj, detector, label))
 
     def reader(index: int):
         rng = Random(f"{seed}:service-read:{index}")
@@ -338,6 +331,7 @@ def _storm_service(seed: int, ops: int, threads: int) -> ScenarioResult:
                 service.search(_QUERIES[rng.randrange(len(_QUERIES))], m=4)
                 if rng.random() < 0.3:
                     service.stats()
+                    service.healthz()
 
         return run
 
@@ -361,9 +355,11 @@ def _storm_service(seed: int, ops: int, threads: int) -> ScenarioResult:
     for root in service.tracer.buffer.traces():
         for problem in validate_trace(root):
             errors.append(f"trace invariant: {problem}")
+    if not detector.report().acquisitions.get("service.lock"):
+        errors.append("service.lock saw no acquisitions: the storm bypassed it")
     result = _finish(
         "service", threads, ops * (threads - 1) + max(1, ops // 3),
-        watched, detector, tracer, errors,
+        watched, detector, errors,
     )
     for obj in (
         service.result_cache,
@@ -384,7 +380,6 @@ def _storm_cluster(seed: int, ops: int, threads: int) -> ScenarioResult:
     from .cluster.local import LocalCluster
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     errors: List[str] = []
 
     cluster = LocalCluster.from_sources(
@@ -398,12 +393,12 @@ def _storm_cluster(seed: int, ops: int, threads: int) -> ScenarioResult:
         coordinator = cluster.coordinator
         watched = [
             f"coordinator.{f}"
-            for f in instrument(coordinator, detector, "coordinator", tracer)
+            for f in instrument(coordinator, detector, "coordinator")
         ]
         watched.extend(
             f"coordinator.breaker.{f}"
             for f in instrument(
-                coordinator.breaker, detector, "coordinator.breaker", tracer
+                coordinator.breaker, detector, "coordinator.breaker"
             )
         )
         # One replica dies before the storm: every query against shard 0
@@ -427,7 +422,7 @@ def _storm_cluster(seed: int, ops: int, threads: int) -> ScenarioResult:
         _run_threads(detector, [body(i) for i in range(threads)], errors)
         coordinator.stats()
         result = _finish(
-            "cluster", threads, ops * threads, watched, detector, tracer, errors
+            "cluster", threads, ops * threads, watched, detector, errors
         )
         deinstrument(coordinator)
         deinstrument(coordinator.breaker)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.check import build_check_engine, locktrace_selftest, run_check
+from repro.analysis.check import build_check_engine, run_check
 from repro.analysis.linter import LintConfig
+from repro.analysis.races import RaceDetector, selftest
 from repro.cli import main
 
 CLEAN_SOURCE = '''\
@@ -105,7 +106,44 @@ def test_cli_check_list_rules(capsys):
 
 
 def test_locktrace_selftest_passes():
-    assert locktrace_selftest() == []
+    assert selftest() == []
+
+
+def test_race_selftest_catches_the_planted_race(monkeypatch):
+    """The merged self-test's unguarded counter surfaces as a race on
+    exactly the planted object and field."""
+    reports = []
+    real_report = RaceDetector.report
+
+    def spy(self):
+        report = real_report(self)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(RaceDetector, "report", spy)
+    assert selftest() == []
+    (report,) = reports
+    assert report.races
+    assert {(r.obj, r.attr) for r in report.races} == {("selftest", "count")}
+
+
+@pytest.mark.parametrize(
+    "prong, missed",
+    [("cycles", "ABBA"), ("hazards", "nested read"), ("races", "unguarded counter")],
+)
+def test_detector_selftest_fails_when_a_prong_is_blind(monkeypatch, prong, missed):
+    """Each planted defect is judged on its own: blinding one prong of
+    the report must cost exactly that one self-test check."""
+    real_report = RaceDetector.report
+
+    def blinded(self):
+        report = real_report(self)
+        setattr(report, prong, [])
+        return report
+
+    monkeypatch.setattr(RaceDetector, "report", blinded)
+    failures = selftest()
+    assert len(failures) == 1 and missed in failures[0], failures
 
 
 def test_check_engine_builds_all_kinds():
@@ -202,12 +240,6 @@ def test_unused_suppression_fails_the_gate(tmp_path):
     text = out.getvalue()
     assert "[unused-suppression]" in text
     assert "bare-except" in text
-
-
-def test_race_selftest_catches_the_planted_race():
-    from repro.analysis.check import race_selftest
-
-    assert race_selftest() == []
 
 
 def test_cli_check_json_flag(clean_dir, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Runtime lock-order detector tests: seeded ABBA, hazards, clean runs."""
+"""Lock-order tracing in the one detector: seeded ABBA, hazards, clean runs."""
 
 from __future__ import annotations
 
@@ -6,22 +6,22 @@ import threading
 
 import pytest
 
-from repro.analysis.locktrace import LockTracer
+from repro.analysis.races import RaceDetector
 from repro.errors import LockUsageError
 from repro.service.concurrency import ReadWriteLock
 
 
 def test_abba_rwlock_acquisition_is_flagged():
-    tracer = LockTracer()
-    lock_a = tracer.wrap(ReadWriteLock(), "a")
-    lock_b = tracer.wrap(ReadWriteLock(), "b")
+    detector = RaceDetector()
+    lock_a = detector.wrap(ReadWriteLock(), "a")
+    lock_b = detector.wrap(ReadWriteLock(), "b")
     with lock_a.read():
         with lock_b.read():
             pass
     with lock_b.read():
         with lock_a.read():
             pass
-    report = tracer.report()
+    report = detector.report()
     assert report.cycles, "deliberate ABBA ordering must produce a cycle"
     cycle_nodes = set(report.cycles[0])
     assert cycle_nodes == {"a", "b"}
@@ -30,56 +30,56 @@ def test_abba_rwlock_acquisition_is_flagged():
 
 
 def test_abba_plain_locks_flagged():
-    tracer = LockTracer()
-    lock_a = tracer.wrap(threading.Lock(), "a")
-    lock_b = tracer.wrap(threading.Lock(), "b")
+    detector = RaceDetector()
+    lock_a = detector.wrap(threading.Lock(), "a")
+    lock_b = detector.wrap(threading.Lock(), "b")
     with lock_a:
         with lock_b:
             pass
     with lock_b:
         with lock_a:
             pass
-    assert tracer.report().cycles
+    assert detector.report().cycles
 
 
 def test_consistent_ordering_is_clean():
-    tracer = LockTracer()
-    lock_a = tracer.wrap(ReadWriteLock(), "a")
-    lock_b = tracer.wrap(ReadWriteLock(), "b")
+    detector = RaceDetector()
+    lock_a = detector.wrap(ReadWriteLock(), "a")
+    lock_b = detector.wrap(ReadWriteLock(), "b")
     for _ in range(3):
         with lock_a.read():
             with lock_b.write():
                 pass
-    report = tracer.report()
+    report = detector.report()
     assert report.clean
     assert report.edges == {("a", "b"): 3}
-    assert report.acquisitions == 6
+    assert report.acquisitions == {"a": 3, "b": 3}
 
 
 def test_three_lock_cycle_detected():
-    tracer = LockTracer()
-    locks = {name: tracer.wrap(threading.Lock(), name) for name in "abc"}
+    detector = RaceDetector()
+    locks = {name: detector.wrap(threading.Lock(), name) for name in "abc"}
     for first, second in [("a", "b"), ("b", "c"), ("c", "a")]:
         with locks[first]:
             with locks[second]:
                 pass
-    report = tracer.report()
+    report = detector.report()
     assert report.cycles
     assert set(report.cycles[0]) == {"a", "b", "c"}
 
 
 def test_nested_read_hazard_recorded_even_though_lock_raises():
-    tracer = LockTracer()
-    lock = tracer.wrap(ReadWriteLock(), "svc")
+    detector = RaceDetector()
+    lock = detector.wrap(ReadWriteLock(), "svc")
     lock.acquire_read()
     try:
         with pytest.raises(LockUsageError):
             lock.acquire_read()
     finally:
         lock.release_read()
-    report = tracer.report()
-    assert report.reentrant_reads
-    assert "nested read" in report.reentrant_reads[0]
+    report = detector.report()
+    assert report.hazards
+    assert "nested read" in report.hazards[0]
     # The failed inner acquisition must not corrupt the held stack: the
     # lock is fully released now, so a writer can proceed.
     with lock.write():
@@ -87,21 +87,21 @@ def test_nested_read_hazard_recorded_even_though_lock_raises():
 
 
 def test_read_write_upgrade_hazard_recorded():
-    tracer = LockTracer()
-    lock = tracer.wrap(ReadWriteLock(), "svc")
+    detector = RaceDetector()
+    lock = detector.wrap(ReadWriteLock(), "svc")
     lock.acquire_read()
     try:
         with pytest.raises(LockUsageError):
             lock.acquire_write()
     finally:
         lock.release_read()
-    report = tracer.report()
-    assert any("upgrade" in hazard for hazard in report.reentrant_reads)
+    report = detector.report()
+    assert any("upgrade" in hazard for hazard in report.hazards)
 
 
 def test_cross_thread_reads_are_not_reentrancy():
-    tracer = LockTracer()
-    lock = tracer.wrap(ReadWriteLock(), "svc")
+    detector = RaceDetector()
+    lock = detector.wrap(ReadWriteLock(), "svc")
     entered = threading.Barrier(2, timeout=10)
 
     def reader():
@@ -114,14 +114,14 @@ def test_cross_thread_reads_are_not_reentrancy():
         thread.start()
     for thread in threads:
         thread.join(timeout=10)
-    report = tracer.report()
+    report = detector.report()
     assert report.clean
-    assert report.acquisitions == 2
+    assert report.acquisitions == {"svc": 2}
 
 
 def test_traced_rwlock_preserves_semantics():
-    tracer = LockTracer()
-    lock = tracer.wrap(ReadWriteLock(), "svc")
+    detector = RaceDetector()
+    lock = detector.wrap(ReadWriteLock(), "svc")
     results = []
 
     def writer():
@@ -141,7 +141,7 @@ def test_traced_rwlock_preserves_semantics():
 
 def test_wrap_rejects_unknown_objects():
     with pytest.raises(TypeError):
-        LockTracer().wrap(object(), "x")
+        RaceDetector().wrap(object(), "x")
 
 
 # -- TracedRWLock edge cases --------------------------------------------------------
@@ -151,8 +151,8 @@ def test_traced_rwlock_writer_preference_orders_late_readers():
     """Readers arriving while a writer waits queue behind the writer."""
     import time
 
-    tracer = LockTracer()
-    lock = tracer.wrap(ReadWriteLock(), "svc")
+    detector = RaceDetector()
+    lock = detector.wrap(ReadWriteLock(), "svc")
     order = []
     first_reader_in = threading.Barrier(2, timeout=10)
     release_first = threading.Event()
@@ -191,14 +191,14 @@ def test_traced_rwlock_writer_preference_orders_late_readers():
     for thread in (holder, contender, straggler):
         thread.join(timeout=10)
     assert order == ["write", "read"]
-    report = tracer.report()
+    report = detector.report()
     assert report.clean
-    assert report.acquisitions == 3
+    assert report.acquisitions == {"svc": 3}
 
 
 def test_traced_rwlock_release_from_wrong_thread_raises_through_proxy():
-    tracer = LockTracer()
-    lock = tracer.wrap(ReadWriteLock(), "svc")
+    detector = RaceDetector()
+    lock = detector.wrap(ReadWriteLock(), "svc")
     held = threading.Barrier(2, timeout=10)
     done = threading.Event()
 
@@ -224,10 +224,10 @@ def test_traced_rwlock_report_is_deterministic_across_identical_runs():
     """Same lock choreography twice -> byte-identical edges and cycles."""
 
     def run() -> tuple:
-        tracer = LockTracer()
-        lock_a = tracer.wrap(ReadWriteLock(), "a")
-        lock_b = tracer.wrap(ReadWriteLock(), "b")
-        lock_c = tracer.wrap(ReadWriteLock(), "c")
+        detector = RaceDetector()
+        lock_a = detector.wrap(ReadWriteLock(), "a")
+        lock_b = detector.wrap(ReadWriteLock(), "b")
+        lock_c = detector.wrap(ReadWriteLock(), "c")
         with lock_a.read():
             with lock_b.write():
                 pass
@@ -237,7 +237,7 @@ def test_traced_rwlock_report_is_deterministic_across_identical_runs():
         with lock_c.read():
             with lock_a.write():
                 pass
-        report = tracer.report()
+        report = detector.report()
         return tuple(sorted(report.edges)), tuple(
             tuple(cycle) for cycle in report.cycles
         )

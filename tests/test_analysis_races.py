@@ -13,7 +13,6 @@ import threading
 from pathlib import Path
 
 from repro.analysis.linter import Linter
-from repro.analysis.locktrace import LockTracer
 from repro.analysis.races import RaceDetector, deinstrument, instrument
 from repro.analysis.rules import GuardedByRule
 from repro.service.cache import GenerationalLRU
@@ -37,9 +36,8 @@ def _storm(detector: RaceDetector, bodies) -> None:
 
 def test_guarded_accesses_are_clean():
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     cache = GenerationalLRU(8, name="clean")
-    watched = instrument(cache, detector, "cache", tracer)
+    watched = instrument(cache, detector, "cache")
     assert "hits" in watched and "_entries" in watched
 
     def body() -> None:
@@ -61,9 +59,8 @@ def test_unguarded_counter_races():
             self.n = 0
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     victim = Bare()
-    instrument(victim, detector, "bare", tracer, fields={"n": None})
+    instrument(victim, detector, "bare", fields={"n": None})
 
     def body() -> None:
         for _ in range(25):
@@ -86,9 +83,8 @@ def test_fork_join_edges_suppress_sequential_handoff():
             self.n = 0
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     victim = Bare()
-    instrument(victim, detector, "handoff", tracer, fields={"n": None})
+    instrument(victim, detector, "handoff", fields={"n": None})
 
     victim.n = 1  # main-thread write before the fork
     worker = detector.thread(target=lambda: setattr(victim, "n", 2))
@@ -109,9 +105,8 @@ def test_read_mode_common_lock_does_not_protect_writes():
             self.x = 0
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     shared = Shared()
-    instrument(shared, detector, "shared", tracer, fields={"x": "_rw"})
+    instrument(shared, detector, "shared", fields={"x": "_rw"})
     barrier = threading.Barrier(2)
 
     def body() -> None:
@@ -137,9 +132,8 @@ def test_exclusive_lock_hand_off_orders_accesses():
             self.x = 0
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     shared = Shared()
-    instrument(shared, detector, "ordered", tracer, fields={"x": "_lock"})
+    instrument(shared, detector, "ordered", fields={"x": "_lock"})
 
     def body() -> None:
         for _ in range(20):
@@ -158,9 +152,8 @@ def test_findings_deduplicate_per_field_and_serialize():
             self.n = 0
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     victim = Bare()
-    instrument(victim, detector, "dedupe", tracer, fields={"n": None})
+    instrument(victim, detector, "dedupe", fields={"n": None})
 
     def body() -> None:
         for _ in range(50):
@@ -238,13 +231,11 @@ def test_mutation_is_caught_by_the_dynamic_prong():
     mutated_cls = namespace["GenerationalLRU"]
 
     detector = RaceDetector()
-    tracer = LockTracer(race_detector=detector)
     cache = mutated_cls(8, name="mutant")
     watched = instrument(
         cache,
         detector,
         "mutant",
-        tracer,
         fields={  # exec'd classes have no inspectable source
             "generation": "_lock",
             "hits": "_lock",

@@ -6,11 +6,8 @@ import json
 
 import pytest
 
-from repro.cluster.chaos import (
-    OUTCOMES,
-    RPCFaultInjector,
-    run_cluster_chaos,
-)
+from repro.cluster.chaos import RPCFaultInjector, run_cluster_chaos
+from repro.harness import OUTCOMES
 
 pytestmark = pytest.mark.slow
 
@@ -74,3 +71,28 @@ class TestChaosRun:
         assert "seed" in payload and "outcomes" in payload
         for key in payload:
             assert "time" not in key and "latency" not in key
+
+    def test_canonical_keys_are_pinned(self, report):
+        # The shared serializer cannot add or drop a key silently.
+        assert set(json.loads(report.to_json())) == {
+            "seed",
+            "shards",
+            "replicas",
+            "kind",
+            "documents",
+            "queries",
+            "kill_rate",
+            "rpc_fault_rate",
+            "outcomes",
+            "violations",
+            "kills",
+            "restarts",
+            "rejoins",
+            "snapshot_recoveries",
+            "snapshot_fallbacks",
+            "rpc_faults_injected",
+            "failovers",
+            "breaker_trips",
+            "degraded_with_missing_shards",
+            "ok",
+        }

@@ -542,6 +542,19 @@ class TestSnapshotCLI:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True and report["violations"] == []
+        # The canonical key set is pinned: the shared serializer cannot
+        # add or drop a key silently.
+        assert set(report) == {
+            "ok",
+            "seed",
+            "offsets_swept",
+            "cases",
+            "recovered_new",
+            "recovered_previous",
+            "fallbacks_seen",
+            "site_outcomes",
+            "violations",
+        }
 
 
 # -- the durable-write lint rule ---------------------------------------------------

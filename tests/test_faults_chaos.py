@@ -10,14 +10,16 @@ reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.chaos import OUTCOMES, ChaosReport, run_chaos
+from repro.chaos import ChaosReport, run_chaos
 from repro.config import StorageParams, XRankConfig
 from repro.datasets.dblp import generate_dblp
 from repro.datasets.workloads import random_queries
-from repro.engine import XRankEngine
+from repro.engine import SearchHit, XRankEngine
+from repro.harness import OUTCOMES, Verdicts, fingerprint
 from repro.service.core import XRankService
 from repro.storage.iostats import IOStats
 
@@ -132,3 +134,36 @@ class TestChaosReportShape:
         decoded = json.loads(report.to_json())
         assert decoded["queries"] == 0
         assert decoded["violations"] == []
+
+    def test_canonical_keys_are_pinned(self, storm):
+        # The shared serializer cannot add or drop a key silently.
+        assert set(json.loads(storm.to_json())) == {
+            "seed",
+            "fault_rate",
+            "kind",
+            "documents",
+            "queries",
+            "outcomes",
+            "violations",
+            "build_retries",
+            "build_faults",
+            "query_faults",
+            "io",
+            "breaker_trips",
+            "ok",
+        }
+
+
+class TestExactRanks:
+    def test_rank_drift_of_1e_12_is_a_mismatch(self):
+        """The faulted build is byte-identical by contract, so the oracle
+        comparison is exact: no rounding may hide a drifting rank."""
+        oracle = [SearchHit(rank=0.5, dewey="0.1", tag="p", snippet="", path="p")]
+        drifted = [replace(oracle[0], rank=0.5 + 1e-12)]
+        verdicts = Verdicts()
+        outcome = verdicts.judge(
+            lambda: (False, fingerprint(drifted)), fingerprint(oracle), query="q"
+        )
+        assert outcome == "mismatch"
+        assert not verdicts.ok
+        assert verdicts.violations[0]["query"] == "q"

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
+from repro import stress
+from repro.analysis.races import RaceDetector
 from repro.stress import StressReport, run_stress
 
 
@@ -72,3 +75,19 @@ def test_report_describe_mentions_every_scenario():
     )
     text = report.describe()
     assert "components" in text and "seed=9" in text
+
+
+def test_hung_storm_thread_makes_the_report_unclean(monkeypatch):
+    """A deadlocked storm is exactly what lock tracing hunts: a thread
+    still alive after the join timeout must not come back clean."""
+    monkeypatch.setattr(stress, "JOIN_TIMEOUT_S", 0.05)
+    detector = RaceDetector()
+    release = threading.Event()
+    errors = []
+    try:
+        stress._run_threads(detector, [lambda: release.wait(10)], errors)
+        result = stress._finish("hung", 1, 1, [], detector, errors)
+    finally:
+        release.set()
+    assert not result.clean
+    assert any("still running" in error for error in result.errors)
