@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..index.postings import Posting
+from ..query.structured import is_tag_name
 from ..storage.btree import BTree, _decode_internal, _decode_leaf
 from ..storage.deweycodec import CODECS
 from ..xmlmodel.dewey import DeweyId
@@ -302,6 +303,11 @@ def check_index_agreement(
 ) -> List[InvariantViolation]:
     """DIL/RDIL/HDIL must produce the same ranked answer for the same query.
 
+    Each query is also searched under ``path=`` the tag of the reference
+    kind's top hit, so the path predicate that gates every evaluator's
+    top-m heap is checked inside DIL's merge, RDIL's Threshold Algorithm
+    and HDIL's switch rules.
+
     Ranks are compared as sorted-descending vectors within a small
     tolerance (float32 payloads), not by result identity: evaluators may
     break exact rank ties differently at the top-m boundary, which is
@@ -314,34 +320,38 @@ def check_index_agreement(
         queries = _default_queries(engine)
     violations: List[InvariantViolation] = []
     for keywords in queries:
-        answers: Dict[str, List[float]] = {}
-        for kind in kinds:
-            results = engine._evaluators[kind].evaluate(list(keywords), m=m)
-            answers[kind] = sorted((r.rank for r in results), reverse=True)
-        reference_kind = kinds[0]
-        reference = answers[reference_kind]
-        for kind in kinds[1:]:
-            ranks = answers[kind]
-            location = f"query {' '.join(keywords)!r}: {reference_kind} vs {kind}"
-            if len(ranks) != len(reference):
-                violations.append(
-                    InvariantViolation(
-                        "index-agreement",
-                        location,
-                        f"{len(reference)} results vs {len(ranks)}",
-                    )
-                )
-                continue
-            for a, b in zip(reference, ranks):
-                if abs(a - b) > _RANK_TOLERANCE:
+        query = " ".join(keywords)
+        top = engine.search(query, m=1, kind=kinds[0])
+        for path in [None] + [h.tag for h in top if is_tag_name(h.tag)]:
+            answers: Dict[str, List[float]] = {}
+            for kind in kinds:
+                hits = engine.search(query, m=m, kind=kind, path=path)
+                answers[kind] = sorted((h.rank for h in hits), reverse=True)
+            reference_kind = kinds[0]
+            reference = answers[reference_kind]
+            label = f"query {query!r}" + (f" path {path!r}" if path else "")
+            for kind in kinds[1:]:
+                ranks = answers[kind]
+                location = f"{label}: {reference_kind} vs {kind}"
+                if len(ranks) != len(reference):
                     violations.append(
                         InvariantViolation(
                             "index-agreement",
                             location,
-                            f"rank vectors diverge: {a:.8f} vs {b:.8f}",
+                            f"{len(reference)} results vs {len(ranks)}",
                         )
                     )
-                    break
+                    continue
+                for a, b in zip(reference, ranks):
+                    if abs(a - b) > _RANK_TOLERANCE:
+                        violations.append(
+                            InvariantViolation(
+                                "index-agreement",
+                                location,
+                                f"rank vectors diverge: {a:.8f} vs {b:.8f}",
+                            )
+                        )
+                        break
     return violations
 
 

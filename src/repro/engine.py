@@ -26,18 +26,23 @@ from .errors import (
 )
 from .index.builder import IndexBuilder
 from .obs import NOOP_SPAN
-from .query.answer_nodes import AnswerNodeFilter, ancestor_context
+from .query.answer_nodes import (
+    AnswerNodeFilter,
+    ancestor_context,
+    result_element,
+)
 from .query.dil_eval import DILEvaluator
 from .query.disjunctive import DisjunctiveEvaluator
 from .query.hdil_eval import HDILEvaluator
 from .query.naive_eval import NaiveIdEvaluator, NaiveRankEvaluator
 from .query.rdil_eval import RDILEvaluator
 from .query.results import QueryResult
+from .query.structured import PathFilter
 from .ranking.elemrank import ElemRankVariant
 from .text.tokenize import tokenize_query
 from .xmlmodel.graph import CollectionGraph
 from .xmlmodel.html import parse_html
-from .xmlmodel.nodes import Document, Element
+from .xmlmodel.nodes import Document
 from .xmlmodel.parser import parse_xml
 
 def _highlight(text: str, keywords: List[str]) -> str:
@@ -536,20 +541,19 @@ class XRankEngine:
             impl=type(evaluator).__name__,
             keywords=len(keywords),
         )
-        fetch = m + offset
-        if path is None:
-            results = evaluator.evaluate(
-                keywords,
-                m=fetch,
-                weights=weight_list,
-                deadline=deadline,
-                span=span,
-            )
-        else:
-            results = self._evaluate_with_path(
-                evaluator, keywords, fetch, weight_list, path, deadline,
-                span=span,
-            )
+        # The path constraint gates the evaluator's top-m heap, so one
+        # evaluation returns the top-(m + offset) matching results.
+        accept = None
+        if path is not None:
+            accept = PathFilter(path).predicate(self.graph)
+        results = evaluator.evaluate(
+            keywords,
+            m=m + offset,
+            weights=weight_list,
+            deadline=deadline,
+            span=span,
+            accept=accept,
+        )
         trace = getattr(evaluator, "last_trace", None)
         if trace is not None and getattr(trace, "switched_to_dil", False):
             span.event(
@@ -566,41 +570,6 @@ class XRankEngine:
             self._to_hit(result, with_context, highlight_terms)
             for result in results
         ]
-
-    def _evaluate_with_path(
-        self,
-        evaluator,
-        keywords: List[str],
-        m: int,
-        weights: Optional[List[float]],
-        path: str,
-        deadline=None,
-        span=None,
-    ) -> List[QueryResult]:
-        """Top-m under a path constraint by over-fetch-and-filter.
-
-        The evaluators rank globally, so satisfying a selective path filter
-        may need more than m raw results; fetch sizes double until the
-        filtered set fills m, the raw result set stops growing, or the
-        deadline expires (partial results, like everywhere else).
-        """
-        from .query.structured import PathFilter
-
-        span = span or NOOP_SPAN
-        path_filter = PathFilter(path)
-        fetch = m
-        previous_raw = -1
-        while True:
-            raw = evaluator.evaluate(
-                keywords, m=fetch, weights=weights, deadline=deadline,
-                span=span,
-            )
-            filtered = path_filter.apply(raw, self.graph)
-            expired = deadline is not None and deadline.poll()
-            if len(filtered) >= m or len(raw) == previous_raw or expired:
-                return filtered[:m]
-            previous_raw = len(raw)
-            fetch *= 4
 
     def _disjunctive_evaluator(self, kind: str) -> DisjunctiveEvaluator:
         if kind not in ("dil", "hdil"):
@@ -628,11 +597,7 @@ class XRankEngine:
         with_context: bool,
         highlight_terms: Optional[List[str]] = None,
     ) -> SearchHit:
-        element: Optional[Element] = None
-        if result.dewey is not None:
-            element = self.graph.element_by_dewey(result.dewey)
-        elif result.elem_id is not None and self.graph.elements:
-            element = self.graph.elements[result.elem_id]
+        element = result_element(self.graph, result)
         if element is None:
             return SearchHit(
                 rank=result.rank,
@@ -647,9 +612,6 @@ class XRankEngine:
             snippet = _highlight(snippet, highlight_terms)
         if len(snippet) > 120:
             snippet = snippet[:117] + "..."
-        path = "/".join(
-            [a.tag for a in reversed(list(element.ancestors()))] + [element.tag]
-        )
         ancestors: List[Tuple[str, str]] = []
         if with_context:
             ancestors = [
@@ -661,7 +623,7 @@ class XRankEngine:
             dewey=str(element.dewey),
             tag=element.tag,
             snippet=snippet,
-            path=path,
+            path="/".join(element.tag_path()),
             keyword_ranks=result.keyword_ranks,
             ancestors=ancestors,
         )
@@ -688,11 +650,7 @@ class XRankEngine:
 
         explanations: List[Dict[str, object]] = []
         for result in results:
-            element = (
-                self.graph.element_by_dewey(result.dewey)
-                if result.dewey is not None
-                else None
-            )
+            element = result_element(self.graph, result)
             window = (
                 smallest_window([list(pl) for pl in result.position_lists])
                 if result.position_lists
@@ -702,14 +660,7 @@ class XRankEngine:
                 {
                     "dewey": result.identifier(),
                     "tag": element.tag if element else "?",
-                    "path": (
-                        "/".join(
-                            [a.tag for a in reversed(list(element.ancestors()))]
-                            + [element.tag]
-                        )
-                        if element
-                        else ""
-                    ),
+                    "path": "/".join(element.tag_path()) if element else "",
                     "overall_rank": result.rank,
                     "keyword_ranks": dict(zip(keywords, result.keyword_ranks)),
                     "proximity": result.proximity,

@@ -28,6 +28,18 @@ from ..xmlmodel.nodes import Element
 from .results import QueryResult
 
 
+def result_element(
+    graph: CollectionGraph, result: QueryResult
+) -> Optional[Element]:
+    """The element a result names, by Dewey ID or by the naive baselines'
+    flat element id; None when the graph does not hold it."""
+    if result.dewey is not None:
+        return graph.element_by_dewey(result.dewey)
+    if result.elem_id is not None and graph.elements:
+        return graph.elements[result.elem_id]
+    return None
+
+
 def ancestor_context(
     graph: CollectionGraph, dewey: DeweyId
 ) -> List[Tuple[DeweyId, str]]:
@@ -86,16 +98,16 @@ class AnswerNodeFilter:
         best: Dict[Tuple[int, ...], QueryResult] = {}
         order: List[Tuple[int, ...]] = []
         for result in results:
-            if result.dewey is None:
-                continue
-            element = graph.element_by_dewey(result.dewey)
+            element = result_element(graph, result)
             if element is None:
                 continue
             document = graph.element_doc[graph.index_of[element.dewey]]
             resolved = self._resolve(element, document.is_html, result, params, promote)
             if resolved is None:
                 continue
-            key = resolved.dewey.components
+            # A naive result kept as-is has no Dewey ID: key it by its element.
+            dewey = element.dewey if resolved.dewey is None else resolved.dewey
+            key = dewey.components
             existing = best.get(key)
             if existing is None:
                 best[key] = resolved

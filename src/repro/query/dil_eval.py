@@ -20,7 +20,7 @@ from ..config import RankingParams
 from ..index.dil import DILIndex
 from ..obs import NOOP_SPAN
 from .merge import conjunctive_merge, single_keyword_top_m
-from .results import QueryResult, ResultHeap, validate_query
+from .results import Accept, QueryResult, ResultHeap, validate_query
 from .streams import PostingStream, open_stream
 
 
@@ -69,6 +69,7 @@ class DILEvaluator:
         weights: Optional[Sequence[float]] = None,
         deadline=None,
         span=None,
+        accept: Accept = None,
     ) -> List[QueryResult]:
         """Top-m results for the conjunctive query ``keywords``.
 
@@ -77,6 +78,7 @@ class DILEvaluator:
         optional ``poll() -> bool`` object; on expiry the partial top-m
         found so far is returned (the serving layer flags it degraded).
         ``span`` (optional) receives per-posting-list child spans.
+        ``accept`` (optional) restricts the top-m to the results it admits.
         """
         validate_query(keywords, m, weights)
         self.index._require_built()
@@ -88,12 +90,13 @@ class DILEvaluator:
                 m,
                 weights[0] if weights else 1.0,
                 deadline,
+                accept=accept,
             )
 
         streams = [
             self._traced_stream(keyword, span) for keyword in keywords
         ]
-        heap = ResultHeap(m)
+        heap = ResultHeap(m, accept)
         for result in conjunctive_merge(
             streams,
             self.params,

@@ -25,7 +25,7 @@ from ..errors import QueryError
 from ..index.dil import DILIndex
 from ..index.hdil import HDILIndex
 from ..ranking.proximity import proximity
-from .results import QueryResult, ResultHeap, validate_query
+from .results import Accept, QueryResult, ResultHeap, validate_query
 from .streams import PostingStream, smallest_head_index
 
 
@@ -88,8 +88,10 @@ class DisjunctiveEvaluator:
         weights: Optional[Sequence[float]] = None,
         deadline=None,
         span=None,
+        accept: Accept = None,
     ) -> List[QueryResult]:
-        """Top-m disjunctive results for the keywords."""
+        """Top-m disjunctive results for the keywords (those ``accept``
+        admits, when given)."""
         validate_query(keywords, m, weights)
         self.index._require_built()
         streams = [
@@ -98,7 +100,7 @@ class DisjunctiveEvaluator:
             )
             for keyword in keywords
         ]
-        heap = ResultHeap(m)
+        heap = ResultHeap(m, accept)
         for result in disjunctive_merge(streams, self.params, weights):
             heap.add(result)
             if deadline is not None and deadline.poll():

@@ -30,7 +30,7 @@ from ..index.hdil import HDILIndex, decode_leaf_entry
 from ..obs import NOOP_SPAN
 from .merge import conjunctive_merge, single_keyword_top_m
 from .rdil_eval import ProbeLoopState, RankedProbeLoop
-from .results import QueryResult, ResultHeap, validate_query
+from .results import Accept, QueryResult, ResultHeap, validate_query
 from .streams import PostingStream, open_stream
 
 
@@ -80,8 +80,12 @@ class HDILEvaluator:
         weights: Optional[Sequence[float]] = None,
         deadline=None,
         span=None,
+        accept: Accept = None,
     ) -> List[QueryResult]:
-        """Top-m conjunctive results via adaptive RDIL-then-DIL."""
+        """Top-m conjunctive results via adaptive RDIL-then-DIL.
+
+        ``accept`` gates the top-m heap of whichever phase answers, so
+        every switch rule counts accepted results only."""
         validate_query(keywords, m, weights)
         self.index._require_built()
         self.last_trace = HDILTrace()
@@ -91,14 +95,14 @@ class HDILEvaluator:
             return []
         if len(keywords) == 1:
             scale = weights[0] if weights else 1.0
-            return self._evaluate_single(keywords[0], m, scale, deadline)
+            return self._evaluate_single(keywords[0], m, scale, deadline, accept)
 
         dil_expected = self._expected_dil_cost_ms(keywords)
         self.last_trace.dil_expected_ms = dil_expected
 
         with span.child("rdil_probe", keywords=len(keywords)) as rdil_span:
             results = self._evaluate_rdil_mode(
-                keywords, m, weights, deadline, rdil_span
+                keywords, m, weights, deadline, rdil_span, accept
             )
         if results is not None:
             return results
@@ -108,7 +112,9 @@ class HDILEvaluator:
                 if dil_span.recording
                 else None
             )
-            results = self._evaluate_dil_mode(keywords, m, weights, deadline)
+            results = self._evaluate_dil_mode(
+                keywords, m, weights, deadline, accept
+            )
             if before is not None:
                 dil_span.attach_io(
                     self.index.disk.stats.delta_since(before)
@@ -122,6 +128,7 @@ class HDILEvaluator:
         weights: Optional[Sequence[float]],
         deadline,
         span=NOOP_SPAN,
+        accept: Accept = None,
     ) -> Optional[List[QueryResult]]:
         """The RDIL probe phase; None means "switch to a full DIL scan"."""
         dil_expected = self.last_trace.dil_expected_ms
@@ -216,7 +223,8 @@ class HDILEvaluator:
             return True
 
         results, completed = loop.run(
-            m, monitor=monitor, exhaustion_is_complete=False, deadline=deadline
+            m, monitor=monitor, exhaustion_is_complete=False,
+            deadline=deadline, accept=accept,
         )
         delta = self.index.disk.stats.delta_since(start_stats)
         self.last_trace.rdil_cost_ms = delta.cost_ms(self.index.disk.params)
@@ -242,9 +250,10 @@ class HDILEvaluator:
         m: int,
         weights: Optional[Sequence[float]] = None,
         deadline=None,
+        accept: Accept = None,
     ) -> List[QueryResult]:
         streams = [self._full_stream(keyword) for keyword in keywords]
-        heap = ResultHeap(m)
+        heap = ResultHeap(m, accept)
         for result in conjunctive_merge(
             streams,
             self.params,
@@ -255,11 +264,13 @@ class HDILEvaluator:
         return heap.results()
 
     def _evaluate_single(
-        self, keyword: str, m: int, scale: float = 1.0, deadline=None
+        self, keyword: str, m: int, scale: float = 1.0, deadline=None,
+        accept: Accept = None,
     ) -> List[QueryResult]:
         """One keyword: the ranked head serves the top-m directly."""
         results = single_keyword_top_m(
-            self._ranked_stream(keyword), m, scale, deadline, rank_ordered=True
+            self._ranked_stream(keyword), m, scale, deadline,
+            rank_ordered=True, accept=accept,
         )
         if (
             len(results) == m
@@ -272,7 +283,7 @@ class HDILEvaluator:
         self.last_trace.switched_to_dil = True
         self.last_trace.switch_reason = "ranked head shorter than m"
         return single_keyword_top_m(
-            self._full_stream(keyword), m, scale, deadline
+            self._full_stream(keyword), m, scale, deadline, accept=accept
         )
 
     # -- cost estimation --------------------------------------------------------------------

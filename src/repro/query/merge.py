@@ -35,7 +35,7 @@ from ..obs.profile import active_profile
 from ..ranking.proximity import proximity as proximity_of
 from ..ranking.scoring import overall_rank
 from ..xmlmodel.dewey import DeweyId
-from .results import QueryResult, ResultHeap
+from .results import Accept, QueryResult, ResultHeap
 from .streams import PostingStream, smallest_head_index
 
 
@@ -194,6 +194,7 @@ def single_keyword_top_m(
     scale: float = 1.0,
     deadline=None,
     rank_ordered: bool = False,
+    accept: Accept = None,
 ) -> List[QueryResult]:
     """Top-m of a one-keyword query — the paper's "(simple) special case".
 
@@ -201,10 +202,10 @@ def single_keyword_top_m(
     (proximity of one keyword is 1) times the keyword's weight ``scale``, so
     the merge reduces to a top-m selection.  A Dewey-ordered list is scanned
     to its end; a ``rank_ordered`` one lists the best first, so its first m
-    live entries are the answer.  On ``deadline`` expiry the partial top-m
-    found so far is returned.
+    live *accepted* entries are the answer.  On ``deadline`` expiry the
+    partial top-m found so far is returned.
     """
-    heap = ResultHeap(m)
+    heap = ResultHeap(m, accept)
     while not stream.eof and not (rank_ordered and heap.full):
         if deadline is not None and deadline.poll():
             break

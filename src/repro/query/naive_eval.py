@@ -23,7 +23,7 @@ from ..errors import QueryError
 from ..index.naive import NaiveIdIndex, NaivePosting, NaiveRankIndex
 from ..ranking.proximity import proximity
 from ..storage.listfile import ListCursor
-from .results import QueryResult, ResultHeap, validate_query
+from .results import Accept, QueryResult, ResultHeap, validate_query
 
 
 class _NaiveStream:
@@ -99,6 +99,7 @@ class NaiveIdEvaluator:
         weights: Optional[Sequence[float]] = None,
         deadline=None,
         span=None,
+        accept: Accept = None,
     ) -> List[QueryResult]:
         """Top-m naive results by id-ordered merge-join."""
         validate_query(keywords, m, weights)
@@ -111,7 +112,7 @@ class NaiveIdEvaluator:
             )
             for keyword in keywords
         ]
-        heap = ResultHeap(m)
+        heap = ResultHeap(m, accept)
         while not any(stream.eof for stream in streams):
             if deadline is not None and deadline.poll():
                 break
@@ -149,6 +150,7 @@ class NaiveRankEvaluator:
         weights: Optional[Sequence[float]] = None,
         deadline=None,
         span=None,
+        accept: Accept = None,
     ) -> List[QueryResult]:
         """Top-m naive results via the Threshold Algorithm."""
         validate_query(keywords, m, weights)
@@ -167,7 +169,7 @@ class NaiveRankEvaluator:
             (stream.peek().elemrank if not stream.eof else 0.0)
             for stream in streams
         ]
-        heap = ResultHeap(m)
+        heap = ResultHeap(m, accept)
         seen: Set[int] = set()
         robin = 0
         while True:

@@ -32,7 +32,7 @@ from ..obs.profile import active_profile
 from ..storage.btree import BTree
 from ..xmlmodel.dewey import DeweyId
 from .merge import conjunctive_merge, single_keyword_top_m
-from .results import QueryResult, ResultHeap, validate_query
+from .results import Accept, QueryResult, ResultHeap, validate_query
 from .streams import PostingStream
 
 #: Turns a B+-tree (key, payload) pair into a Posting.  RDIL trees store the
@@ -97,6 +97,7 @@ class RankedProbeLoop:
         monitor: Optional[Callable[[ProbeLoopState], bool]] = None,
         exhaustion_is_complete: bool = True,
         deadline=None,
+        accept: Accept = None,
     ) -> Tuple[List[QueryResult], bool]:
         """Run to TA-completion, stream exhaustion, or monitor abort.
 
@@ -109,8 +110,11 @@ class RankedProbeLoop:
         top-m is only partial: the caller must *not* fall back to a full
         DIL scan (that would blow the budget further) but return what was
         found, flagged degraded via the deadline's ``expired`` state.
+
+        ``accept`` gates the heap, so the TA stop rule holds m *accepted*
+        results against the threshold and the top-m stays exact.
         """
-        heap = ResultHeap(m)
+        heap = ResultHeap(m, accept)
         self.state.heap = heap
         robin = 0
         while True:
@@ -233,6 +237,7 @@ class RDILEvaluator:
         weights: Optional[Sequence[float]] = None,
         deadline=None,
         span=None,
+        accept: Accept = None,
     ) -> List[QueryResult]:
         """Top-m conjunctive results via TA over ranked lists.
 
@@ -258,6 +263,7 @@ class RDILEvaluator:
                 weights[0] if weights else 1.0,
                 deadline,
                 rank_ordered=True,
+                accept=accept,
             )
         btrees = [self.index.btree(keyword) for keyword in keywords]
         loop = RankedProbeLoop(
@@ -269,6 +275,6 @@ class RDILEvaluator:
             weights=list(weights) if weights else None,
         )
         results, _completed = loop.run(
-            m, exhaustion_is_complete=True, deadline=deadline
+            m, exhaustion_is_complete=True, deadline=deadline, accept=accept
         )
         return results

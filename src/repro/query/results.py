@@ -6,14 +6,17 @@ the overall rank plus the per-keyword diagnostics the examples display.
 
 :class:`ResultHeap` is the bounded min-heap of Figure 5/7: it retains the m
 best results seen so far and exposes ``kth_rank`` — the rank of the m-th
-best — which the Threshold Algorithm compares against its threshold.
+best — which the Threshold Algorithm compares against its threshold.  An
+optional ``accept`` predicate (a structural constraint, Section 7) gates
+entry, so the heap holds the top-m of the *accepted* results and every
+stop rule reading it stays exact.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..obs.profile import active_profile
@@ -72,6 +75,10 @@ def result_order_key(result: QueryResult) -> Tuple:
     return (result.elem_id,)
 
 
+#: Which results may enter a top-m heap; None accepts every result.
+Accept = Optional[Callable[[QueryResult], bool]]
+
+
 class _Worse:
     """Heap entry wrapper: compares ``lower = worse`` under the canonical
     result order (higher rank wins, then smaller identifier wins)."""
@@ -95,12 +102,17 @@ class ResultHeap:
     Ties at equal rank are resolved by :func:`result_order_key` ascending
     — smaller Dewey IDs (earlier in document order) survive — so the
     retained set and its final order are independent of arrival order.
+
+    ``accept`` is consulted only for a result that passes the rank test,
+    so a non-selective predicate costs nothing on the results the heap
+    would drop anyway.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, accept: Accept = None):
         if capacity < 1:
             raise QueryError("result capacity must be at least 1")
         self.capacity = capacity
+        self._accept = accept
         self._heap: List[_Worse] = []
         # Captured once: heaps are built inside the profiled query, so
         # each add() pays at most one None check for profiling-off.
@@ -112,19 +124,20 @@ class ResultHeap:
         Identifiers are not deduplicated here: no evaluator offers the
         same element twice, and the cluster merge does its own dedup."""
         entry = _Worse(result)
-        profile = self._profile
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, entry)
-            if profile is not None:
-                profile.heap_pushes += 1
-            return True
-        if self._heap[0] < entry:
+        full = len(self._heap) >= self.capacity
+        if full and not self._heap[0] < entry:
+            return False
+        if self._accept is not None and not self._accept(result):
+            return False
+        if full:
             heapq.heapreplace(self._heap, entry)
-            if profile is not None:
-                profile.heap_pushes += 1
-                profile.heap_evictions += 1
-            return True
-        return False
+        else:
+            heapq.heappush(self._heap, entry)
+        profile = self._profile
+        if profile is not None:
+            profile.heap_pushes += 1
+            profile.heap_evictions += full
+        return True
 
     def __len__(self) -> int:
         return len(self._heap)

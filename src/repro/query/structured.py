@@ -8,7 +8,8 @@ syntax (and of XIRQL/XXL's mixed structure+keyword queries):
 * ``a/b``    — element tagged ``b`` whose parent is tagged ``a``;
 * ``//b``    — element tagged ``b`` at any depth;
 * ``a//b``   — ``b`` with an ``a`` ancestor somewhere above;
-* ``*``      — any tag at one step (``a/*/c``).
+* ``*``      — any tag at one step (``a/*/c``); partial wildcards such as
+  ``ti*`` are rejected.
 
 Patterns are matched against the *suffix* of a result element's tag path
 (root → element), the conventional interpretation for search filters: the
@@ -16,22 +17,32 @@ pattern ``paper/title`` accepts any title element directly inside a paper
 wherever the paper sits.  A leading ``/`` anchors the match at the document
 root instead.
 
-:class:`PathFilter` composes with any evaluator output, exactly like
-:class:`~repro.query.answer_nodes.AnswerNodeFilter` — filtering never
-reorders surviving results, so the ranking semantics are untouched.
+:meth:`PathFilter.predicate` is applied inside retrieval, not after it:
+every evaluator passes it to its top-m heap as ``accept``, which tests it
+only on results that rank into the heap.  The heap then holds the top-m
+of the matching results, so one evaluation answers a path query and the
+ranking semantics are untouched.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from ..errors import QueryError
 from ..xmlmodel.graph import CollectionGraph
 from ..xmlmodel.nodes import Element
+from .answer_nodes import result_element
 from .results import QueryResult
 
 #: Marker for a descendant axis step ("//").
 _ANY_DEPTH = "//"
+
+
+def is_tag_name(token: str) -> bool:
+    """Whether a path step can name the tag ``token``: letters, digits,
+    ``-`` and ``_`` only (``*`` is a whole step, never part of a name)."""
+    bare = token.replace("-", "").replace("_", "")
+    return bool(token) and (not bare or bare.isalnum())
 
 
 def parse_path_pattern(pattern: str) -> List[str]:
@@ -64,8 +75,8 @@ def parse_path_pattern(pattern: str) -> List[str]:
             steps.append(_ANY_DEPTH)
             continue
         previous_empty = False
-        bare = token.replace("*", "").replace("-", "").replace("_", "")
-        if token != "*" and (not token or (bare and not bare.isalnum())):
+        # A step is "*" or a tag name; "ti*" would only match literally.
+        if token != "*" and not is_tag_name(token):
             raise QueryError(f"bad path step {token!r} in {pattern!r}")
         steps.append(token)
     if steps and steps[-1] == _ANY_DEPTH:
@@ -117,19 +128,15 @@ class PathFilter:
 
     def matches_element(self, element: Element) -> bool:
         """Whether an element's tag path satisfies the pattern."""
-        tags = [a.tag for a in reversed(list(element.ancestors()))]
-        tags.append(element.tag)
-        return _matches(tags, self.steps)
+        return _matches(element.tag_path(), self.steps)
 
-    def apply(
-        self, results: List[QueryResult], graph: CollectionGraph
-    ) -> List[QueryResult]:
-        """Keep only results whose element path matches; order preserved."""
-        kept: List[QueryResult] = []
-        for result in results:
-            if result.dewey is None:
-                continue
-            element = graph.element_by_dewey(result.dewey)
-            if element is not None and self.matches_element(element):
-                kept.append(result)
-        return kept
+    def predicate(
+        self, graph: CollectionGraph
+    ) -> Callable[[QueryResult], bool]:
+        """The evaluators' ``accept`` test: the result's element matches."""
+
+        def accept(result: QueryResult) -> bool:
+            element = result_element(graph, result)
+            return element is not None and self.matches_element(element)
+
+        return accept

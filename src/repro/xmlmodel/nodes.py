@@ -138,6 +138,10 @@ class Element:
             yield node
             node = node.parent
 
+    def tag_path(self) -> List[str]:
+        """Tags from the document root down to this element."""
+        return [a.tag for a in reversed(list(self.ancestors()))] + [self.tag]
+
     # -- content --------------------------------------------------------------
 
     @property

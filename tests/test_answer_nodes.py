@@ -99,7 +99,12 @@ class TestHTMLRootOnly:
             str(r.dewey) for r in results
         }
 
-    def test_naive_results_without_dewey_skipped(self, figure1_graph):
-        answer_filter = AnswerNodeFilter()
+    def test_naive_results_resolve_by_elem_id(self, figure1_graph):
+        """Naive baselines name results by flat element id, not Dewey."""
         results = [QueryResult(rank=1.0, elem_id=3)]
-        assert answer_filter.apply(results, figure1_graph) == []
+        assert AnswerNodeFilter().apply(results, figure1_graph) == results
+        root = figure1_graph.documents[5].root
+        promoted = AnswerNodeFilter(answer_tags={root.tag}).apply(
+            results, figure1_graph
+        )
+        assert [r.dewey for r in promoted] == [root.dewey]
