@@ -108,17 +108,44 @@ and keyword search</para></part></tutorial>""",
     ),
 ]
 
-_CHECK_KINDS = ("dil", "rdil", "hdil")
+#: Documents added to the built engine one at a time.  The first links to
+#: a document not yet added, so the second's finalize is a full pass; the
+#: first and third append to the graph's element table.
+_CHECK_ADDS = [
+    (
+        "review.xml",
+        """<review xmlns:xlink="http://www.w3.org/1999/xlink">
+<title>Review: ranked XQL retrieval</title>
+<body>the XQL language meets keyword ranking</body>
+<cite xlink:href="survey.xml"/><cite xlink:href="errata.xml"/></review>""",
+    ),
+    (
+        "errata.xml",
+        """<errata><item id="e1">the XQL language section was renumbered</item>
+<item><see ref="e1"/>ranking figures corrected</item></errata>""",
+    ),
+    (
+        "digest.xml",
+        """<digest xmlns:xlink="http://www.w3.org/1999/xlink">
+<entry>keyword search language digest</entry>
+<ref xlink:href="errata.xml"/></digest>""",
+    ),
+]
+
+_CHECK_KINDS = ("dil", "rdil", "hdil", "dil-incremental")
 
 
 def build_check_engine():
-    """Build the deterministic strict-mode corpus (all three kinds)."""
+    """Build the deterministic strict-mode corpus (every Dewey-family kind),
+    then add :data:`_CHECK_ADDS` through the incremental index."""
     from ..engine import XRankEngine
 
     engine = XRankEngine()
     for uri, source in _CHECK_CORPUS:
         engine.add_xml(source, uri=uri)
     engine.build(kinds=_CHECK_KINDS)
+    for uri, source in _CHECK_ADDS:
+        engine.add_xml_incremental(source, uri=uri)
     return engine
 
 

@@ -30,6 +30,7 @@ from ..query.structured import is_tag_name
 from ..storage.btree import BTree, _decode_internal, _decode_leaf
 from ..storage.deweycodec import CODECS
 from ..xmlmodel.dewey import DeweyId
+from ..xmlmodel.graph import CollectionGraph
 
 #: Rank agreement tolerance across index kinds (float32 payload rounding).
 _RANK_TOLERANCE = 1e-6
@@ -169,6 +170,12 @@ def check_posting_lists(
     for kind, index in sorted(engine._indexes.items()):
         if kind == "dil" or kind == "dil-incremental":
             keywords = _sampled(index, sample)
+            delta = getattr(index, "delta", None)
+            if delta is not None:
+                # The longest lists are main's; sample the delta's too.
+                delta_keywords = _sampled(delta, sample)
+                keywords += [k for k in delta_keywords if k not in keywords]
+                violations.extend(_check_delta_records(index, delta_keywords))
             for keyword in keywords:
                 cursor = index.cursor(keyword)
                 if cursor is None:
@@ -224,6 +231,20 @@ def check_posting_lists(
     return violations
 
 
+def _check_delta_records(index, keywords: Sequence[str]) -> List[InvariantViolation]:
+    """An incremental delta list on disk holds exactly its kept records."""
+    return [
+        InvariantViolation(
+            "posting-lists",
+            f"dil-incremental delta list {keyword!r}",
+            "on-disk records differ from the records kept in memory",
+        )
+        for keyword in keywords
+        if list(index.delta.lists[keyword].scan())
+        != index._delta_records.get(keyword)
+    ]
+
+
 def _sampled(index, sample: int) -> List[str]:
     keywords = sorted(index.keywords(), key=lambda k: (-index.list_length(k), k))
     return keywords[:sample]
@@ -262,6 +283,43 @@ def _check_record_stream(
                 )
         previous = posting
     return violations
+
+
+# -- collection graph -------------------------------------------------------------
+
+
+def check_graph(engine) -> List[InvariantViolation]:
+    """The element table equals a full pass over the same documents.
+
+    ``CollectionGraph.finalize`` appends an incremental add's elements and
+    links instead of rebuilding; this holds every dense array, and the
+    link-resolution tally, to a fresh graph over the same documents.
+    """
+    graph = engine.graph
+    if not graph.finalized:
+        return []
+    fresh = CollectionGraph()
+    for document in graph.documents.values():
+        fresh.add_document(document)
+    fresh.finalize()
+    names = (
+        "elements", "element_doc", "index_of", "parent_index",
+        "children_count", "doc_element_count", "hyperlink_edges",
+        "out_hyperlink_count", "resolution",
+    )
+
+    def table(g: CollectionGraph, name: str):
+        value = getattr(g, name)
+        # A dict's insertion order is part of the table.
+        return list(value.items()) if isinstance(value, dict) else value
+
+    return [
+        InvariantViolation(
+            "graph", name, "differs from a full pass over the same documents"
+        )
+        for name in names
+        if table(graph, name) != table(fresh, name)
+    ]
 
 
 # -- Dewey codecs -----------------------------------------------------------------
@@ -450,6 +508,7 @@ def check_engine(
 ) -> List[InvariantViolation]:
     """Run the full battery against one built engine."""
     violations: List[InvariantViolation] = []
+    violations.extend(check_graph(engine))
     violations.extend(check_posting_lists(engine, sample=sample))
     violations.extend(check_elemrank(engine))
     violations.extend(check_index_agreement(engine, queries=queries, m=m))

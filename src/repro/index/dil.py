@@ -8,7 +8,7 @@ queries are answered with a single sequential merge pass
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..config import StorageParams
 from ..storage.disk import SimulatedDisk
@@ -39,6 +39,21 @@ class DILIndex(KeywordIndex):
                 self.disk, records, owner=f"dil:{keyword}"
             )
         self._mark_built(postings)
+
+    def replace_list(self, keyword: str, records: List[bytes]) -> None:
+        """Rewrite one keyword's list from Dewey-ordered encoded postings.
+
+        The old list's pages are freed first, so the new run can reuse them.
+        """
+        old = self.lists.get(keyword)
+        if old is not None:
+            for page_id in old.page_ids:
+                self.disk.free(page_id)
+            self._num_postings -= old.num_records
+        self.lists[keyword] = ListFile.write(
+            self.disk, records, owner=f"dil:{keyword}"
+        )
+        self._num_postings += len(records)
 
     # -- keyword surface -----------------------------------------------------------
 

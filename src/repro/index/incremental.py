@@ -7,10 +7,12 @@ folds the side index into the main one.  This module implements that
 scheme for the Dewey family:
 
 * the **main** index is an ordinary bulk-built :class:`DILIndex`;
-* additions go to a **delta** :class:`DILIndex`, rebuilt from accumulated
-  postings (cheap — it covers only the new documents) on the main index's
+* additions go to a **delta** :class:`DILIndex` on the main index's
   simulated disk, so one ``disk`` answers I/O totals, fault plans and
-  bytes used for the pair, like every other index kind;
+  bytes used for the pair, like every other index kind.  An addition
+  rewrites only the delta lists of the keywords it contains: each is its
+  kept encoded records plus the new postings, encoded once and appended;
+  the other lists are not touched;
 * a query cursor reads the main list file, then the delta's.  Because
   document ids are assigned monotonically, every delta Dewey ID is strictly
   greater than every main Dewey ID, so the cursor stays globally
@@ -35,44 +37,64 @@ from ..errors import IndexError_, IndexNotBuiltError
 from ..storage.disk import SimulatedDisk
 from ..storage.listfile import ListCursor
 from ..xmlmodel.dewey import DeweyId
-from ..xmlmodel.graph import CollectionGraph
 from ..xmlmodel.nodes import Document
 from .dil import DILIndex
-from .postings import Posting, PostingMap, extract_direct_postings
+from .postings import (
+    Posting,
+    PostingMap,
+    attach_scores,
+    extract_document_raw_postings,
+    merge_raw_postings,
+)
 
 logger = logging.getLogger(__name__)
 
 
+class DepthAverages:
+    """The average ElemRank at each element depth of a reference ranking.
+
+    Averaging walks the whole reference, so an index keeps one per
+    reference instead of recomputing it on every addition.
+    """
+
+    def __init__(self, reference: Dict[DeweyId, float]):
+        self.reference = reference
+        by_depth: Dict[int, List[float]] = {}
+        for dewey, score in reference.items():
+            by_depth.setdefault(dewey.depth, []).append(score)
+        self.by_depth = {
+            depth: sum(scores) / len(scores) for depth, scores in by_depth.items()
+        }
+        self.fallback = (
+            sum(reference.values()) / len(reference) if reference else 0.0
+        )
+
+    def score(self, depth: int) -> float:
+        """The approximate ElemRank of a new element at ``depth``."""
+        return self.by_depth.get(depth, self.fallback)
+
+
 def approximate_scores(
-    documents: Iterable[Document],
-    reference: Dict[DeweyId, float],
+    documents: Iterable[Document], averages: DepthAverages
 ) -> Dict[DeweyId, float]:
     """Depth-average ElemRank approximation for not-yet-ranked documents."""
-    by_depth: Dict[int, List[float]] = {}
-    for dewey, score in reference.items():
-        by_depth.setdefault(dewey.depth, []).append(score)
-    averages = {
-        depth: sum(scores) / len(scores) for depth, scores in by_depth.items()
+    return {
+        element.dewey: averages.score(element.dewey.depth)
+        for document in documents
+        for element in document.iter_elements()
     }
-    fallback = (
-        sum(reference.values()) / len(reference) if reference else 0.0
-    )
-    out: Dict[DeweyId, float] = {}
-    for document in documents:
-        for element in document.iter_elements():
-            out[element.dewey] = averages.get(element.dewey.depth, fallback)
-    return out
 
 
 def postings_for_documents(
     documents: Iterable[Document], scores: Dict[DeweyId, float]
 ) -> PostingMap:
-    """Direct postings for a batch of new documents."""
-    graph = CollectionGraph()
-    for document in documents:
-        graph.add_document(document)
-    graph.finalize()
-    return extract_direct_postings(graph, scores)
+    """Direct postings for a batch of new documents, Dewey-ordered per
+    keyword (the same two phases as :func:`extract_direct_postings`)."""
+    per_document = [
+        (document.doc_id, extract_document_raw_postings(document))
+        for document in documents
+    ]
+    return attach_scores(merge_raw_postings(per_document), scores)
 
 
 class IncrementalDILIndex:
@@ -90,9 +112,31 @@ class IncrementalDILIndex:
     def __init__(self, storage_params: Optional[StorageParams] = None):
         self.main = DILIndex(storage_params)
         self.delta: Optional[DILIndex] = None
-        self._delta_postings: PostingMap = {}
+        #: keyword -> the delta list's encoded postings, in Dewey order
+        self._delta_records: Dict[str, List[bytes]] = {}
         self.max_doc_id = -1
         self.deleted_docs = self.main.deleted_docs
+        self._averages: Optional[DepthAverages] = None
+
+    def __getstate__(self) -> dict:
+        # The depth averages are derived from the engine's ElemRank map.
+        state = dict(self.__dict__)
+        state["_averages"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if "_delta_postings" in state:
+            # Snapshots taken before the delta kept encoded records.
+            postings = state.pop("_delta_postings")
+            state["_delta_records"] = {
+                keyword: [
+                    p.encode()
+                    for p in sorted(plist, key=lambda p: p.dewey.components)
+                ]
+                for keyword, plist in postings.items()
+            }
+        state.setdefault("_averages", None)
+        self.__dict__.update(state)
 
     # -- DILIndex surface ----------------------------------------------------------
 
@@ -118,7 +162,7 @@ class IncrementalDILIndex:
         self.main.build(postings)
         self.deleted_docs = self.main.deleted_docs
         self.delta = None
-        self._delta_postings = {}
+        self._delta_records = {}
         self.max_doc_id = self._max_doc_id(postings)
 
     @staticmethod
@@ -131,16 +175,16 @@ class IncrementalDILIndex:
     def keywords(self):
         """Keywords across main and delta."""
         merged = set(self.main.keywords())
-        merged.update(self._delta_postings)
+        merged.update(self._delta_records)
         return merged
 
     def has_keyword(self, keyword: str) -> bool:
         """True when main or delta indexes the keyword."""
-        return self.main.has_keyword(keyword) or keyword in self._delta_postings
+        return self.main.has_keyword(keyword) or keyword in self._delta_records
 
     def list_length(self, keyword: str) -> int:
         """Total postings across main and delta."""
-        delta = len(self._delta_postings.get(keyword, ()))
+        delta = len(self._delta_records.get(keyword, ()))
         return self.main.list_length(keyword) + delta
 
     def cursor(self, keyword: str) -> Optional[ListCursor]:
@@ -181,30 +225,38 @@ class IncrementalDILIndex:
                 f"new document ids must exceed {self.max_doc_id}, got {smallest}"
             )
         if scores is None:
-            scores = approximate_scores(documents, reference or {})
+            scores = approximate_scores(documents, self._depth_averages(reference))
         new_postings = postings_for_documents(documents, scores)
+        if self.delta is None:
+            self.delta = DILIndex(disk=self.disk)
+            self.delta.build({})
+        # The new ids exceed every delta id, so each touched list is its
+        # kept records with the new ones appended: still Dewey-ordered.
+        # Only those lists are rewritten, on main's disk, their old pages
+        # freed first so ``disk.bytes_used()`` stays main + delta.
         for keyword, plist in new_postings.items():
-            self._delta_postings.setdefault(keyword, []).extend(plist)
+            records = self._delta_records.setdefault(keyword, [])
+            records.extend(posting.encode() for posting in plist)
+            self.delta.replace_list(keyword, records)
         self.max_doc_id = max(d.doc_id for d in documents)
         logger.info(
-            "added %d documents incrementally; delta now holds %d postings",
+            "added %d documents incrementally; rewrote %d delta lists",
             len(documents),
-            sum(len(v) for v in self._delta_postings.values()),
+            len(new_postings),
         )
-        # Rebuild the (small) delta index from the accumulated postings, on
-        # main's disk: the previous delta's pages are freed first so the
-        # rebuild reuses them and ``disk.bytes_used()`` stays main + delta.
-        if self.delta is not None:
-            self.delta.free_all_lists()
-        self.delta = DILIndex(disk=self.disk)
-        self.delta.build(
-            {k: sorted(v, key=lambda p: p.dewey.components)
-             for k, v in self._delta_postings.items()}
-        )
+
+    def _depth_averages(
+        self, reference: Optional[Dict[DeweyId, float]]
+    ) -> DepthAverages:
+        """The reference's depth averages, computed once per reference."""
+        reference = reference or {}
+        if self._averages is None or self._averages.reference is not reference:
+            self._averages = DepthAverages(reference)
+        return self._averages
 
     @property
     def delta_size(self) -> int:
-        return sum(len(v) for v in self._delta_postings.values())
+        return sum(len(v) for v in self._delta_records.values())
 
     # -- compaction ---------------------------------------------------------------------
 
@@ -241,7 +293,7 @@ class IncrementalDILIndex:
         )
         self.deleted_docs = self.main.deleted_docs
         self.delta = None
-        self._delta_postings = {}
+        self._delta_records = {}
 
     # -- accounting ------------------------------------------------------------------------
 

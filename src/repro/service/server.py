@@ -67,6 +67,9 @@ class XRankHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "xrank-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Send each response as soon as it is written (TCP_NODELAY on the
+    # accepted socket) instead of holding small segments for Nagle.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> XRankService:

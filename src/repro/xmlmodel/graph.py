@@ -19,7 +19,7 @@ power iteration can run over flat arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import DocumentNotFoundError
 from .dewey import DeweyId
@@ -29,6 +29,8 @@ from .nodes import Document, Element
 IDREF_TAGS = frozenset({"ref", "idref", "idrefs"})
 #: Attribute tags interpreted as inter-document references.
 XLINK_TAGS = frozenset({"xlink", "href", "xlink:href"})
+#: finalize()'s append bookkeeping, set by ``_reset_append_state``.
+_APPEND_STATE = ("_pending", "_appendable", "_last_doc_id", "_dangling_uris")
 
 
 @dataclass
@@ -66,6 +68,31 @@ class CollectionGraph:
         self.hyperlink_edges: List[Tuple[int, int]] = []
         self.out_hyperlink_count: List[int] = []   # N_h(u)
         self.resolution = LinkResolution()
+        self._reset_append_state()
+
+    def _reset_append_state(self) -> None:
+        """Forget finalize()'s append bookkeeping: the next one is a full pass.
+
+        Derived state, so it is never pickled (see ``__getstate__``).
+        """
+        #: documents added since the last finalize(), in add order
+        self._pending: List[Document] = []
+        #: the arrays are a full pass plus appends, and nothing was removed
+        self._appendable = False
+        #: highest doc id the arrays cover
+        self._last_doc_id = -1
+        #: URIs an xlink in the arrays dangled on
+        self._dangling_uris: Set[str] = set()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in _APPEND_STATE:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_append_state()
 
     # -- population --------------------------------------------------------------
 
@@ -78,6 +105,7 @@ class CollectionGraph:
         self.documents[document.doc_id] = document
         if document.uri:
             self._by_uri.setdefault(document.uri, document)
+        self._pending.append(document)
         self._finalized = False
 
     def remove_document(self, doc_id: int) -> Document:
@@ -88,6 +116,13 @@ class CollectionGraph:
             raise DocumentNotFoundError(f"no document with id {doc_id}") from None
         if document.uri and self._by_uri.get(document.uri) is document:
             del self._by_uri[document.uri]
+            # Another document may share the URI: the first one left is
+            # what a graph built over the remaining documents would pick.
+            for other in self.documents.values():
+                if other.uri == document.uri:
+                    self._by_uri[document.uri] = other
+                    break
+        self._appendable = False
         self._finalized = False
         return document
 
@@ -113,19 +148,44 @@ class CollectionGraph:
     def finalize(self) -> None:
         """Build the dense element table and resolve hyperlinks.
 
-        Idempotent; must be re-run after documents are added or removed.
+        Must be re-run after documents are added or removed.  When every
+        document added since the last finalize sorts after all documents
+        already in the table, none was removed, and no new URI is one an
+        earlier xlink dangled on, the new documents are appended and only
+        their own links resolved: the table then equals a full pass, in
+        O(new documents).  Otherwise — including a call with nothing new,
+        so a tree edited in place is picked up — it runs the full pass.
         """
-        self.elements = []
-        self.element_doc = []
-        self.index_of = {}
-        self.parent_index = []
-        self.children_count = []
-        self.doc_element_count = []
-        self.hyperlink_edges = []
-        self.resolution = LinkResolution()
+        pending = sorted(self._pending, key=lambda d: d.doc_id)
+        if (
+            self._appendable
+            and pending
+            and pending[0].doc_id > self._last_doc_id
+            and not any(d.uri in self._dangling_uris for d in pending if d.uri)
+        ):
+            self._append(pending)
+            self._last_doc_id = pending[-1].doc_id
+        else:
+            self.elements = []
+            self.element_doc = []
+            self.index_of = {}
+            self.parent_index = []
+            self.children_count = []
+            self.doc_element_count = []
+            self.hyperlink_edges = []
+            self.out_hyperlink_count = []
+            self.resolution = LinkResolution()
+            self._dangling_uris = set()
+            self._append(list(self.iter_documents()))
+            self._last_doc_id = max(self.documents, default=-1)
+        self._pending = []
+        self._appendable = True
+        self._finalized = True
 
-        for doc_id in sorted(self.documents):
-            document = self.documents[doc_id]
+    def _append(self, documents: List[Document]) -> None:
+        """Extend the table by ``documents`` (ascending ids, all after the
+        table's) and add the hyperlinks they are the source of."""
+        for document in documents:
             count = document.num_elements
             for element in document.iter_elements():
                 index = len(self.elements)
@@ -141,25 +201,26 @@ class CollectionGraph:
                     # index is already assigned.
                     self.parent_index.append(self.index_of[element.parent.dewey])
 
-        self._resolve_hyperlinks()
-        self.out_hyperlink_count = [0] * len(self.elements)
-        for src, _dst in self.hyperlink_edges:
+        first_edge = len(self.hyperlink_edges)
+        for document in documents:
+            self._resolve_hyperlinks(document)
+        self.out_hyperlink_count.extend(
+            [0] * (len(self.elements) - len(self.out_hyperlink_count))
+        )
+        for src, _dst in self.hyperlink_edges[first_edge:]:
             self.out_hyperlink_count[src] += 1
-        self._finalized = True
 
-    def _resolve_hyperlinks(self) -> None:
+    def _resolve_hyperlinks(self, document: Document) -> None:
         stats = self.resolution
-        for doc_id in sorted(self.documents):
-            document = self.documents[doc_id]
-            id_targets = document.elements_with_id_attribute()
-            for element in document.iter_elements():
-                if not element.from_attribute:
-                    continue
-                tag = element.tag.lower()
-                if tag in IDREF_TAGS:
-                    self._resolve_idref(element, id_targets, stats)
-                elif tag in XLINK_TAGS:
-                    self._resolve_xlink(element, stats)
+        id_targets = document.elements_with_id_attribute()
+        for element in document.iter_elements():
+            if not element.from_attribute:
+                continue
+            tag = element.tag.lower()
+            if tag in IDREF_TAGS:
+                self._resolve_idref(element, id_targets, stats)
+            elif tag in XLINK_TAGS:
+                self._resolve_xlink(element, stats)
 
     def _link_source(self, attribute_element: Element) -> Element:
         """The logical source of a link is the element carrying the attribute."""
@@ -193,17 +254,16 @@ class CollectionGraph:
         source = self._link_source(attribute_element)
         uri, _, fragment = raw.partition("#")
         target_doc = self._by_uri.get(uri)
-        if target_doc is None:
+        target: Optional[Element] = None
+        if target_doc is not None:
+            target = target_doc.root
+            if fragment:
+                target = target_doc.elements_with_id_attribute().get(fragment)
+        if target is None:
             stats.xlinks_dangling += 1
             stats.dangling_targets.append(raw)
+            self._dangling_uris.add(uri)
             return
-        target: Optional[Element] = target_doc.root
-        if fragment:
-            target = target_doc.elements_with_id_attribute().get(fragment)
-            if target is None:
-                stats.xlinks_dangling += 1
-                stats.dangling_targets.append(raw)
-                return
         self.hyperlink_edges.append(
             (self.index_of[source.dewey], self.index_of[target.dewey])
         )

@@ -14,6 +14,7 @@ from repro.analysis.invariants import (
     check_elemrank,
     check_engine,
     check_frames,
+    check_graph,
     check_index_agreement,
     check_posting_lists,
 )
@@ -363,6 +364,40 @@ def test_nan_score_detected(engine):
         assert any("score" in v.message for v in violations)
     finally:
         engine.builder.elemranks[dewey] = original
+
+
+# -- incremental adds: graph table and delta lists -----------------------------------
+
+
+@pytest.fixture()
+def added_engine():
+    from repro.analysis.check import build_check_engine
+
+    return build_check_engine()
+
+
+def test_check_engine_clean_after_incremental_adds(added_engine):
+    assert added_engine.index("dil-incremental").delta_size > 0
+    assert check_engine(added_engine) == []
+
+
+def test_graph_table_drift_detected(added_engine):
+    graph = added_engine.graph
+    graph.hyperlink_edges.pop()
+    graph.out_hyperlink_count[-1] += 1
+    names = {v.location for v in check_graph(added_engine)}
+    assert names == {"hyperlink_edges", "out_hyperlink_count"}
+
+
+def test_delta_list_drift_detected(added_engine):
+    index = added_engine.index("dil-incremental")
+    keyword = max(index._delta_records, key=lambda k: len(index._delta_records[k]))
+    index._delta_records[keyword] = index._delta_records[keyword][:-1]
+    violations = check_posting_lists(added_engine)
+    assert any(
+        v.location == f"dil-incremental delta list {keyword!r}"
+        for v in violations
+    )
 
 
 # -- orchestration ------------------------------------------------------------------

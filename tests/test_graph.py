@@ -147,3 +147,132 @@ class TestDocumentManagement:
         assert not graph.finalized
         assert graph.num_elements == 2
         assert graph.finalized
+
+    def test_remove_repoints_a_shared_uri(self):
+        graph = CollectionGraph()
+        first = parse_xml("<a/>", doc_id=0, uri="x.xml")
+        second = parse_xml("<b/>", doc_id=1, uri="x.xml")
+        linking = parse_xml('<c><cite xlink="x.xml"/></c>', doc_id=2, uri="c")
+        for document in (first, second, linking):
+            graph.add_document(document)
+        graph.finalize()
+        graph.remove_document(0)
+        assert graph.document_by_uri("x.xml") is second
+        graph.finalize()
+        assert graph.resolution.xlinks_resolved == 1
+        assert graph.resolution.xlinks_dangling == 0
+        assert_same_table(graph, fresh_graph(graph))
+
+
+def fresh_graph(graph: CollectionGraph) -> CollectionGraph:
+    """A new graph over the same documents, added in the same order."""
+    fresh = CollectionGraph()
+    for document in graph.documents.values():
+        fresh.add_document(document)
+    fresh.finalize()
+    return fresh
+
+
+def assert_same_table(graph: CollectionGraph, fresh: CollectionGraph) -> None:
+    assert graph.elements == fresh.elements
+    assert graph.element_doc == fresh.element_doc
+    assert list(graph.index_of.items()) == list(fresh.index_of.items())
+    assert graph.parent_index == fresh.parent_index
+    assert graph.children_count == fresh.children_count
+    assert graph.doc_element_count == fresh.doc_element_count
+    assert graph.hyperlink_edges == fresh.hyperlink_edges
+    assert graph.out_hyperlink_count == fresh.out_hyperlink_count
+    assert graph.resolution == fresh.resolution
+
+
+class TestAppendingFinalize:
+    """finalize() appends new documents when it can; whichever way it
+    goes, the table equals a graph built fresh over the same documents."""
+
+    URIS = [f"u{i}.xml" for i in range(20)]
+
+    def document(self, rng, doc_id, uri=None):
+        from conftest import random_xml
+
+        links = "".join(
+            f'<cite xlink="{rng.choice(self.URIS)}{rng.choice(["", "#t"])}"/>'
+            for _ in range(rng.randint(1, 3))
+        )
+        source = (
+            f'<w>{links}<x ref="t nothing"/>{random_xml(rng)}<p id="t"/></w>'
+        )
+        uri = uri if uri is not None else rng.choice(self.URIS + [""])
+        return parse_xml(source, doc_id=doc_id, uri=uri)
+
+    @staticmethod
+    def dangling_uri(graph):
+        """A URI an xlink in the table dangles on and no document has."""
+        for target in graph.resolution.dangling_targets:
+            uri = target.partition("#")[0]
+            if uri.endswith(".xml") and graph.document_by_uri(uri) is None:
+                return uri
+        return None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_appended_table_equals_a_fresh_one(self, seed):
+        import pickle
+        import random
+
+        rng = random.Random(seed)
+        graph = CollectionGraph()
+        for doc_id in (0, 2, 4):
+            graph.add_document(self.document(rng, doc_id))
+        graph.finalize()
+        assert_same_table(graph, fresh_graph(graph))
+        next_id = 5
+
+        def step(*, appends: bool) -> None:
+            table = graph.elements
+            graph.finalize()
+            assert (graph.elements is table) == appends
+            assert_same_table(graph, fresh_graph(graph))
+
+        for _ in range(3):
+            # Single adds above every finalized id append.
+            for _ in range(2):
+                next_id += 2
+                graph.add_document(
+                    self.document(rng, next_id, uri=f"fresh{next_id}")
+                )
+                step(appends=True)
+            # A URI an earlier xlink dangled on needs the full pass.
+            uri = self.dangling_uri(graph)
+            assert uri is not None
+            next_id += 2
+            graph.add_document(self.document(rng, next_id, uri=uri))
+            step(appends=False)
+            # So does an id below a finalized one.
+            graph.add_document(self.document(rng, next_id - 1, uri=""))
+            step(appends=False)
+            # And a removal, even with an appendable add beside it.
+            graph.remove_document(rng.choice(sorted(graph.documents)))
+            next_id += 2
+            graph.add_document(self.document(rng, next_id, uri=""))
+            step(appends=False)
+            # An unpickled graph runs the full pass once, then appends.
+            graph = pickle.loads(pickle.dumps(graph))
+            next_id += 2
+            graph.add_document(
+                self.document(rng, next_id, uri=self.dangling_uri(graph))
+            )
+            step(appends=False)
+            for _ in range(2):
+                next_id += 2
+                graph.add_document(
+                    self.document(rng, next_id, uri=f"fresh{next_id}")
+                )
+            step(appends=True)
+
+    def test_append_state_is_not_pickled(self):
+        graph = make_graph('<a><c xlink="gone.xml"/></a>', "<b/>")
+        assert list(graph.__getstate__()) == [
+            "documents", "_by_uri", "_finalized", "elements", "element_doc",
+            "index_of", "parent_index", "children_count",
+            "doc_element_count", "hyperlink_edges", "out_hyperlink_count",
+            "resolution",
+        ]

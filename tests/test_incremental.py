@@ -4,11 +4,14 @@ import pytest
 
 from repro.errors import IndexError_, IndexNotBuiltError
 from repro.index.builder import IndexBuilder
+from repro.index.dil import DILIndex
 from repro.index.incremental import (
+    DepthAverages,
     IncrementalDILIndex,
     approximate_scores,
     postings_for_documents,
 )
+from repro.index.postings import Posting, extract_direct_postings
 from repro.query.dil_eval import DILEvaluator
 from repro.xmlmodel.graph import CollectionGraph
 from repro.xmlmodel.parser import parse_xml
@@ -125,7 +128,7 @@ class TestScoreApproximation:
     def test_depth_average_scores(self):
         _, builder = fresh_index()
         docs = new_documents(["brand new thing"], 60)
-        scores = approximate_scores(docs, builder.elemranks)
+        scores = approximate_scores(docs, DepthAverages(builder.elemranks))
         roots = [d.root.dewey for d in docs]
         reference_roots = [
             v for k, v in builder.elemranks.items() if k.depth == 0
@@ -135,12 +138,12 @@ class TestScoreApproximation:
 
     def test_empty_reference_gives_zero(self):
         docs = new_documents(["thing"], 0)
-        scores = approximate_scores(docs, {})
+        scores = approximate_scores(docs, DepthAverages({}))
         assert all(v == 0.0 for v in scores.values())
 
     def test_postings_for_documents(self):
         docs = new_documents(["one two", "two three"], 70)
-        scores = approximate_scores(docs, {})
+        scores = approximate_scores(docs, DepthAverages({}))
         postings = postings_for_documents(docs, scores)
         assert len(postings["two"]) == 2
         deweys = [p.dewey for p in postings["two"]]
@@ -165,39 +168,158 @@ class TestIncrementalEquivalence:
             added.append(parse_xml(random_xml(rng), doc_id=doc_id))
 
         # Full rebuild over everything (ground truth).
-        full_graph = CollectionGraph()
-        for doc in initial + added:
-            full_graph.add_document(doc)
-        full_graph.finalize()
-        full_builder = IndexBuilder(full_graph)
+        full_builder = IndexBuilder(graph_of(initial + added))
         full = DILEvaluator(full_builder.build_dil())
 
         # Incremental: initial build + delta additions with the SAME scores
         # the full build computed (isolates index mechanics from ElemRank
         # staleness).
-        initial_graph = CollectionGraph()
-        for doc in initial:
-            initial_graph.add_document(doc)
-        initial_graph.finalize()
         incremental = IncrementalDILIndex()
-        from repro.index.postings import extract_direct_postings
-
         incremental.build(
-            extract_direct_postings(initial_graph, full_builder.elemranks)
+            extract_direct_postings(graph_of(initial), full_builder.elemranks)
         )
-        incremental.add_documents(added, scores=full_builder.elemranks)
         inc = DILEvaluator(incremental)
+        queries = [["alpha", "beta"], ["gamma"], ["alpha", "beta", "gamma"]]
 
-        for keywords in [["alpha", "beta"], ["gamma"], ["alpha", "beta", "gamma"]]:
-            want = [
-                (str(r.dewey), round(r.rank, 8))
-                for r in full.evaluate(keywords, m=1000)
+        def answers(evaluator, keywords):
+            return [
+                (r.dewey, r.rank) for r in evaluator.evaluate(keywords, m=1000)
             ]
-            got = [
-                (str(r.dewey), round(r.rank, 8))
-                for r in inc.evaluate(keywords, m=1000)
+
+        for document in added:
+            incremental.add_documents([document], scores=full_builder.elemranks)
+        for keywords in queries:
+            assert answers(inc, keywords) == answers(full, keywords)
+
+        # The delta's pages are exactly a one-shot build of its postings.
+        one_shot = DILIndex()
+        one_shot.build(
+            extract_direct_postings(
+                graph_of(added), full_builder.elemranks
+            )
+        )
+        assert sorted(incremental.delta.lists) == sorted(one_shot.lists)
+        for keyword, list_file in one_shot.lists.items():
+            assert pages_of(incremental.delta.lists[keyword]) == pages_of(
+                list_file
+            )
+            assert incremental.list_length(keyword) == (
+                incremental.main.list_length(keyword) + list_file.num_records
+            )
+
+
+def graph_of(documents):
+    graph = CollectionGraph()
+    for document in documents:
+        graph.add_document(document)
+    graph.finalize()
+    return graph
+
+
+def pages_of(list_file):
+    return [list_file.disk.pages[page_id] for page_id in list_file.page_ids]
+
+
+class TestAddCost:
+    """An addition encodes only its own postings, however large the delta."""
+
+    def test_each_add_encodes_only_the_new_postings(self, monkeypatch):
+        import random
+
+        from conftest import random_xml
+
+        from repro.index import postings as postings_module
+
+        calls = []
+        encode = postings_module.Posting.encode
+
+        def counting_encode(posting):
+            calls.append(posting.dewey.doc_id)
+            return encode(posting)
+
+        monkeypatch.setattr(postings_module.Posting, "encode", counting_encode)
+        index, builder = fresh_index()
+        rng = random.Random(7)
+        for doc_id in range(10, 40):
+            document = parse_xml(random_xml(rng), doc_id=doc_id)
+            expected = sum(
+                len(plist)
+                for plist in postings_for_documents(
+                    [document], builder.elemranks
+                ).values()
+            )
+            calls.clear()
+            index.add_documents([document], reference=builder.elemranks)
+            assert calls == [doc_id] * expected
+
+    def test_depth_averages_are_computed_once_per_reference(self, monkeypatch):
+        from repro.index import incremental as incremental_module
+
+        built = []
+        real = incremental_module.DepthAverages
+
+        def counting(reference):
+            built.append(reference)
+            return real(reference)
+
+        monkeypatch.setattr(incremental_module, "DepthAverages", counting)
+        index, builder = fresh_index()
+        for doc_id in range(10, 15):
+            index.add_documents(
+                new_documents(["alpha more"], doc_id),
+                reference=builder.elemranks,
+            )
+        assert built == [builder.elemranks]
+        other = dict(builder.elemranks)
+        index.add_documents(new_documents(["alpha"], 20), reference=other)
+        assert len(built) == 2 and built[1] is other
+
+
+class TestSnapshots:
+    def test_delta_survives_a_pickle(self):
+        import pickle
+
+        index, builder = fresh_index()
+        index.add_documents(
+            new_documents(["alpha beta late"], 10), reference=builder.elemranks
+        )
+        restored = pickle.loads(pickle.dumps(index))
+        assert restored._averages is None
+        for keywords in (["alpha"], ["alpha", "beta"], ["late"]):
+            assert [
+                (r.dewey, r.rank)
+                for r in DILEvaluator(restored).evaluate(keywords, m=10)
+            ] == [
+                (r.dewey, r.rank)
+                for r in DILEvaluator(index).evaluate(keywords, m=10)
             ]
-            assert got == want
+        restored.add_documents(
+            new_documents(["alpha again"], 11), reference=builder.elemranks
+        )
+        assert {
+            r.dewey.doc_id for r in DILEvaluator(restored).evaluate(["alpha"], m=10)
+        } == {0, 2, 10, 11}
+
+    def test_old_snapshot_state_is_converted(self):
+        index, builder = fresh_index()
+        index.add_documents(
+            new_documents(["alpha beta late"], 10), reference=builder.elemranks
+        )
+        # The state an older release pickled: decoded delta postings.
+        state = dict(index.__dict__)
+        records = state.pop("_delta_records")
+        del state["_averages"]
+        state["_delta_postings"] = {
+            keyword: [Posting.decode(r) for r in recs]
+            for keyword, recs in records.items()
+        }
+        old = IncrementalDILIndex.__new__(IncrementalDILIndex)
+        old.__setstate__(state)
+        assert old._delta_records == records
+        old.add_documents(
+            new_documents(["alpha again"], 11), reference=builder.elemranks
+        )
+        assert old.list_length("alpha") == index.list_length("alpha") + 1
 
 
 class TestChainedCursor:

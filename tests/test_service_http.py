@@ -146,3 +146,24 @@ class TestServeCheck:
         assert main(["serve", "--check"]) == 0
         out = capsys.readouterr().out
         assert "serve check ok" in out
+
+
+def test_accepted_sockets_disable_nagle(served_client, monkeypatch):
+    import socket
+
+    from repro.service import server as server_module
+
+    seen = []
+    setup = server_module._Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        seen.append(
+            handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+
+    monkeypatch.setattr(server_module._Handler, "setup", recording_setup)
+    client, _ = served_client
+    client.close()
+    assert client.healthz()["status"] == "ok"
+    assert seen and all(seen)
