@@ -24,10 +24,8 @@ from .pipeline import (
     CorpusBuildResult,
     build_corpus,
     extract_all_raw_postings,
-    specs_from_paths,
-    specs_from_sources,
 )
-from .shard import DocumentSpec, shard_specs
+from .shard import DocumentSpec, parse_spec, shard_specs, specs_from
 from .verify import compare_engines, compare_postings
 
 __all__ = [
@@ -38,7 +36,7 @@ __all__ = [
     "compare_engines",
     "compare_postings",
     "extract_all_raw_postings",
+    "parse_spec",
     "shard_specs",
-    "specs_from_paths",
-    "specs_from_sources",
+    "specs_from",
 ]

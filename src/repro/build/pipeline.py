@@ -40,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import BuildError, CorruptRunError
 from ..faults import SITE_RUNFILE_CORRUPT, SITE_WORKER_CRASH, FaultPlan
@@ -59,9 +59,6 @@ from .worker import (
     process_shard,
     set_inherited_documents,
 )
-
-_XML_SUFFIXES = {".xml"}
-_HTML_SUFFIXES = {".html", ".htm"}
 
 #: Attempts per shard (initial + retries) before the build gives up.
 MAX_SHARD_ATTEMPTS = 3
@@ -108,52 +105,6 @@ class CorpusBuildResult:
     raw_postings: RawPostingMap = field(default_factory=dict)
     skipped: List[Tuple[str, str]] = field(default_factory=list)
     stats: BuildStats = field(default_factory=BuildStats)
-
-
-def specs_from_sources(
-    sources: Iterable[Union[str, Tuple[str, str], DocumentSpec]],
-    start_doc_id: int = 0,
-) -> List[DocumentSpec]:
-    """Coerce raw XML strings / (source, uri) pairs into document specs.
-
-    Doc ids are assigned in input order starting at ``start_doc_id`` —
-    before any sharding, so identifiers never depend on worker scheduling.
-    """
-    specs: List[DocumentSpec] = []
-    next_id = start_doc_id
-    for item in sources:
-        if isinstance(item, DocumentSpec):
-            specs.append(item)
-            next_id = max(next_id, item.doc_id + 1)
-            continue
-        if isinstance(item, tuple):
-            source, uri = item
-        else:
-            source, uri = item, ""
-        specs.append(DocumentSpec(doc_id=next_id, uri=uri, source=source))
-        next_id += 1
-    return specs
-
-
-def specs_from_paths(
-    files: Sequence[Union[str, Path]],
-    uris: Optional[Sequence[str]] = None,
-    start_doc_id: int = 0,
-) -> List[DocumentSpec]:
-    """Specs for on-disk files; workers read them, so I/O is parallel too."""
-    specs: List[DocumentSpec] = []
-    for offset, file_path in enumerate(files):
-        path = Path(file_path)
-        uri = uris[offset] if uris is not None else path.name
-        specs.append(
-            DocumentSpec(
-                doc_id=start_doc_id + offset,
-                uri=uri,
-                path=str(path),
-                is_html=path.suffix.lower() in _HTML_SUFFIXES,
-            )
-        )
-    return specs
 
 
 def _mp_context(name: Optional[str] = None):
@@ -288,7 +239,8 @@ def build_corpus(
     """Parse + tokenize + extract a corpus, sharded over worker processes.
 
     Args:
-        specs: documents with pre-assigned doc ids (see spec helpers).
+        specs: documents with pre-assigned doc ids (see
+            :func:`~repro.build.shard.specs_from`).
         workers: process count; ``1`` runs the single shard inline.
         spill_dir: when set, workers stream posting skeletons into run
             files under a private temp dir here instead of returning them
@@ -388,11 +340,9 @@ def extract_all_raw_postings(
         run_dir = tempfile.mkdtemp(prefix="build-runs-", dir=str(spill_dir))
     try:
         # Reuse the LPT planner with word counts as the cost proxy.
-        proxy_specs = [
-            DocumentSpec(doc_id=document.doc_id, cost=document.word_count)
-            for document in ordered
-        ]
-        plan = shard_specs(proxy_specs, workers)
+        plan = shard_specs(
+            ordered, workers, cost=lambda document: max(document.word_count, 1)
+        )
         by_id = {document.doc_id: document for document in ordered}
         stats.shards = len(plan)
 
@@ -401,11 +351,9 @@ def extract_all_raw_postings(
         tasks = [
             ExtractTask(
                 shard_id=shard_id,
-                doc_ids=[spec.doc_id for spec in shard],
+                doc_ids=[document.doc_id for document in shard],
                 documents=(
-                    None
-                    if use_fork_table or workers == 1
-                    else [by_id[spec.doc_id] for spec in shard]
+                    None if use_fork_table or workers == 1 else shard
                 ),
                 spill_dir=run_dir,
                 fault=(

@@ -25,7 +25,7 @@ from ..errors import BuildError, XMLParseError
 from ..index.postings import RawPostingMap, extract_document_raw_postings
 from ..storage.runfile import RunWriter
 from ..xmlmodel.nodes import Document
-from .shard import DocumentSpec
+from .shard import DocumentSpec, parse_spec
 
 #: Fault-injection modes for tests: a worker that dies without cleanup
 #: ("crash", exercising the BrokenProcessPool path) or raises ("raise").
@@ -61,22 +61,6 @@ class ShardResult:
     spilled_bytes: int = 0
 
 
-def _parse_spec(spec: DocumentSpec) -> Document:
-    from ..xmlmodel.html import parse_html
-    from ..xmlmodel.parser import parse_xml
-
-    source = spec.source
-    if source is None:
-        if spec.path is None:
-            raise BuildError(
-                f"document spec {spec.doc_id} has neither source nor path"
-            )
-        source = Path(spec.path).read_text(encoding="utf-8", errors="replace")
-    if spec.is_html:
-        return parse_html(source, doc_id=spec.doc_id, uri=spec.uri)
-    return parse_xml(source, doc_id=spec.doc_id, uri=spec.uri)
-
-
 def process_shard(task: ShardTask) -> ShardResult:
     """Parse, tokenize and extract one shard (worker-process entry point)."""
     if task.fault == FAULT_CRASH:
@@ -97,7 +81,7 @@ def process_shard(task: ShardTask) -> ShardResult:
         for spec in task.specs:
             started = time.perf_counter()
             try:
-                document = _parse_spec(spec)
+                document = parse_spec(spec)
             except XMLParseError as exc:
                 label = spec.uri or spec.path or f"doc {spec.doc_id}"
                 if task.on_parse_error == "skip":

@@ -29,14 +29,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, List, Optional
 
+from .build.shard import CORPUS_SUFFIXES, DocumentSpec, specs_from
 from .engine import INDEX_KINDS, XRankEngine
-from .errors import XMLParseError, XRankError
-
-_XML_SUFFIXES = {".xml"}
-_HTML_SUFFIXES = {".html", ".htm"}
+from .errors import QueryError, XRankError
 
 
 def _collect_files(paths: Iterable[str]) -> List[Path]:
@@ -47,7 +46,7 @@ def _collect_files(paths: Iterable[str]) -> List[Path]:
             files.extend(
                 p
                 for p in sorted(path.rglob("*"))
-                if p.suffix.lower() in _XML_SUFFIXES | _HTML_SUFFIXES
+                if p.suffix.lower() in CORPUS_SUFFIXES
             )
         elif path.is_file():
             files.append(path)
@@ -56,40 +55,52 @@ def _collect_files(paths: Iterable[str]) -> List[Path]:
     return files
 
 
-def _uri_for(path: Path, roots: List[Path]) -> str:
-    for root in roots:
-        if root.is_dir():
-            try:
-                return path.relative_to(root).as_posix()
-            except ValueError:
-                continue
-    return path.name
+def _file_specs(paths: List[str]) -> List[DocumentSpec]:
+    """Specs for the files under ``paths``; each file's path relative to
+    its indexing root becomes its URI, so links between files resolve."""
+    roots = [Path(p) for p in paths if Path(p).is_dir()]
+    specs = specs_from(_collect_files(paths))
+    for position, spec in enumerate(specs):
+        path = Path(spec.path)
+        for root in roots:
+            if path.is_relative_to(root):
+                specs[position] = replace(
+                    spec, uri=path.relative_to(root).as_posix()
+                )
+                break
+    return specs
+
+
+def _build_files(
+    engine: XRankEngine, specs: List[DocumentSpec], **build_options
+) -> bool:
+    """``engine.build`` over file specs, reporting every file that failed
+    to parse; False (after saying so) when none of them parsed."""
+    path_of = {spec.uri: spec.path for spec in specs}
+    try:
+        engine.build(corpus=specs, **build_options)
+    except QueryError:
+        if len(engine.last_build_skipped) < len(specs):
+            raise
+    for uri, reason in engine.last_build_skipped:
+        print(f"skipping {path_of.get(uri, uri)}: {reason}", file=sys.stderr)
+    if not engine.graph.documents:
+        print("every input file failed to parse", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     """Parse and index the given files, then pickle the engine."""
     engine = XRankEngine(scorer=args.scorer)
-    roots = [Path(p) for p in args.paths]
-    files = _collect_files(args.paths)
-    if not files:
+    specs = _file_specs(args.paths)
+    if not specs:
         print("no .xml/.html files found", file=sys.stderr)
         return 1
-    indexed = 0
-    for path in files:
-        source = path.read_text(encoding="utf-8", errors="replace")
-        uri = _uri_for(path, roots)
-        try:
-            if path.suffix.lower() in _HTML_SUFFIXES:
-                engine.add_html(source, uri=uri)
-            else:
-                engine.add_xml(source, uri=uri)
-            indexed += 1
-        except XMLParseError as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-    if indexed == 0:
-        print("every input file failed to parse", file=sys.stderr)
+    if not _build_files(
+        engine, specs, kinds=args.kinds, on_parse_error="skip"
+    ):
         return 1
-    engine.build(kinds=args.kinds)
     engine.save(args.out)
     stats = engine.stats()
     print(
@@ -105,36 +116,23 @@ def cmd_build(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from .build import specs_from_paths
     from .build.verify import compare_engines, default_probe_queries
 
-    roots = [Path(p) for p in args.paths]
-    files = _collect_files(args.paths)
-    if not files:
+    specs = _file_specs(args.paths)
+    if not specs:
         print("no .xml/.html files found", file=sys.stderr)
         return 1
-    uris = [_uri_for(path, roots) for path in files]
-    on_parse_error = "raise" if args.strict_parse else "skip"
-
-    def run_build(workers: int) -> XRankEngine:
-        engine = XRankEngine(scorer=args.scorer)
-        engine.build(
-            kinds=args.kinds,
-            corpus=specs_from_paths(files, uris),
-            workers=workers,
-            spill_dir=args.spill_dir,
-            on_parse_error=on_parse_error,
-        )
-        return engine
+    build_options = dict(
+        kinds=args.kinds,
+        spill_dir=args.spill_dir,
+        on_parse_error="raise" if args.strict_parse else "skip",
+    )
 
     started = time.perf_counter()
-    engine = run_build(args.workers)
-    elapsed = time.perf_counter() - started
-    for uri, reason in engine.last_build_skipped:
-        print(f"skipping {uri}: {reason}", file=sys.stderr)
-    if not engine.graph.documents:
-        print("every input file failed to parse", file=sys.stderr)
+    engine = XRankEngine(scorer=args.scorer)
+    if not _build_files(engine, specs, workers=args.workers, **build_options):
         return 1
+    elapsed = time.perf_counter() - started
 
     stats = engine.stats()
     build_stats = (
@@ -150,7 +148,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     verified: Optional[bool] = None
     if args.verify:
-        reference = run_build(1)
+        reference = XRankEngine(scorer=args.scorer)
+        reference.build(corpus=specs, workers=1, **build_options)
         kind = "hdil" if "hdil" in args.kinds else args.kinds[0]
         problems = compare_engines(
             reference, engine, default_probe_queries(reference), kind=kind
@@ -688,7 +687,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
         : args.queries
     ]
     if args.fault_rate > 0:
-        from .cluster.worker import parse_spec
         from .config import StorageParams, XRankConfig
         from .engine import XRankEngine
         from .faults import READ_SITES, FaultPlan
@@ -697,9 +695,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
         engine = XRankEngine(
             config=XRankConfig(storage=StorageParams(checksums=True))
         )
-        for spec in sorted(specs, key=lambda s: s.doc_id):
-            engine.add_document(parse_spec(spec))
-        engine.build(kinds=("dil", "hdil"))
+        engine.build(kinds=("dil", "hdil"), corpus=specs)
         engine.set_fault_plan(
             FaultPlan.uniform(args.seed, args.fault_rate, sites=READ_SITES)
         )

@@ -3,8 +3,8 @@
 The cluster layer scales serving horizontally without changing a single
 answer: documents are partitioned across shard workers by the parallel
 build's deterministic LPT plan, ranking statistics that are global by
-nature (ElemRank over the full collection graph, corpus counts, document
-frequencies) are computed once and shipped to every worker at build time
+nature (ElemRank over the full collection graph, corpus counts) are
+computed once and shipped to every worker at build time
 (:mod:`~repro.cluster.stats`), and a coordinator scatter-gathers
 per-shard top-k lists into the global answer under the canonical
 ``(-rank, Dewey)`` total order (:mod:`~repro.cluster.merge`) — provably,
@@ -25,7 +25,7 @@ from .local import LocalCluster
 from .merge import hit_order_key, merge_hits
 from .stats import GlobalStats, build_full_graph, compute_global_stats
 from .verify import verify_cluster_identity
-from .worker import ShardWorker, build_shard_engine, parse_spec
+from .worker import ShardWorker, build_shard_engine
 
 __all__ = [
     "ClusterCoordinator",
@@ -39,6 +39,5 @@ __all__ = [
     "compute_global_stats",
     "hit_order_key",
     "merge_hits",
-    "parse_spec",
     "verify_cluster_identity",
 ]

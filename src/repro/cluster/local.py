@@ -22,17 +22,12 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..build.shard import DocumentSpec, shard_specs
+from ..build.shard import DocumentSpec, parse_spec, shard_specs, specs_from
 from ..config import XRankConfig
 from ..errors import ClusterError
 from .coordinator import ClusterCoordinator, ReplicaEndpoint
 from .stats import GlobalStats, build_full_graph, compute_global_stats
-from .worker import (
-    DEFAULT_CLUSTER_KINDS,
-    ShardWorker,
-    build_shard_engine,
-    specs_from_sources,
-)
+from .worker import DEFAULT_CLUSTER_KINDS, ShardWorker, build_shard_engine
 
 
 class LocalCluster:
@@ -84,16 +79,23 @@ class LocalCluster:
         ]
         self.num_shards = len(self.shard_plan)
 
-        # 2. Global-statistics exchange over the full corpus.
+        # 2. Parse each spec once, run the global-statistics exchange over
+        #    the full corpus, and drop the full graph: only its documents
+        #    live on, handed to their shards (a graph never mutates them).
+        documents = [parse_spec(spec) for spec in self.specs]
         self.stats: GlobalStats = compute_global_stats(
-            build_full_graph(self.specs), config
+            build_full_graph(documents), config
         )
+        by_id = {document.doc_id: document for document in documents}
 
         # 3. Per-shard engines with injected global ElemRanks.
         self.workers: List[List[ShardWorker]] = []
         for shard_id, shard in enumerate(self.shard_plan):
             engine = build_shard_engine(
-                shard, self.stats, kinds=self.kinds, config=config
+                [by_id[spec.doc_id] for spec in shard],
+                self.stats,
+                kinds=self.kinds,
+                config=config,
             )
             if self.snapshot_root is not None:
                 from ..durability import SnapshotStore
@@ -141,8 +143,9 @@ class LocalCluster:
 
     @classmethod
     def from_sources(cls, sources: Sequence, **options) -> "LocalCluster":
-        """Build from raw XML strings / ``(source, uri)`` pairs / specs."""
-        return cls(specs_from_sources(sources), **options)
+        """Build from any corpus items :func:`~repro.build.shard.specs_from`
+        takes: XML strings, ``(source, uri)`` pairs, paths or specs."""
+        return cls(specs_from(sources), **options)
 
     @classmethod
     def from_corpus(cls, corpus, **options) -> "LocalCluster":

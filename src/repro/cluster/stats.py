@@ -6,15 +6,14 @@ that freely cross document (and therefore shard) boundaries.  A shard
 worker that computed ElemRank over only its local slice would produce
 scores on a different scale from every other shard, and the
 coordinator's global top-k merge would silently rank incomparable
-numbers.  The same applies to the corpus-level statistics the tf-idf
-scorer and the workload tooling use (document frequencies, corpus
-sizes).
+numbers.  The same applies to the corpus sizes.
 
 :func:`compute_global_stats` therefore runs once, at cluster build time,
-over the full corpus: it parses every document, finalizes one collection
-graph, runs the exact same ``compute_elemrank`` call the single-node
-engine uses, and packages the results as a :class:`GlobalStats` value
-that is shipped to every shard worker.  Workers inject the ElemRanks
+over the full corpus: it takes one finalized collection graph over every
+parsed document (:func:`build_full_graph`), runs the exact same
+``compute_elemrank`` call the single-node engine uses, and packages the
+results as a :class:`GlobalStats` value that is shipped to every shard
+worker.  Workers inject the ElemRanks
 into their index build (``XRankEngine.build(elemrank_overrides=...)``),
 so a posting's stored score is bit-identical to what the single-node
 engine would have stored — which is what makes the scatter-gather merge
@@ -30,13 +29,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..config import XRankConfig
 from ..errors import StatsExchangeError
 from ..ranking.elemrank import ElemRankVariant, LinkGraph, compute_elemrank
 from ..xmlmodel.dewey import DeweyId
 from ..xmlmodel.graph import CollectionGraph
+from ..xmlmodel.nodes import Document
 
 
 @dataclass
@@ -50,8 +50,6 @@ class GlobalStats:
     #: the full collection graph; the values a single-node build would
     #: attach to its postings.
     elemranks: Dict[str, float] = field(default_factory=dict)
-    #: keyword -> number of documents containing it (collection-wide).
-    document_frequencies: Dict[str, int] = field(default_factory=dict)
     #: Convergence diagnostics of the global power iteration.
     elemrank_iterations: int = 0
     elemrank_converged: bool = True
@@ -84,7 +82,6 @@ class GlobalStats:
             "num_documents": self.num_documents,
             "num_elements": self.num_elements,
             "elemranks": self.elemranks,
-            "document_frequencies": self.document_frequencies,
             "elemrank_iterations": self.elemrank_iterations,
             "elemrank_converged": self.elemrank_converged,
         }
@@ -95,7 +92,6 @@ class GlobalStats:
             num_documents=int(data.get("num_documents", 0)),
             num_elements=int(data.get("num_elements", 0)),
             elemranks=dict(data.get("elemranks", {})),
-            document_frequencies=dict(data.get("document_frequencies", {})),
             elemrank_iterations=int(data.get("elemrank_iterations", 0)),
             elemrank_converged=bool(data.get("elemrank_converged", True)),
         )
@@ -131,35 +127,24 @@ def compute_global_stats(
     )
     mapping = result.as_mapping(graph)
 
-    frequencies: Dict[str, set] = {}
-    for document in graph.iter_documents():
-        for element in document.iter_elements():
-            for word, _position in element.direct_words():
-                frequencies.setdefault(word, set()).add(document.doc_id)
-
     return GlobalStats(
         num_documents=graph.num_documents,
         num_elements=len(graph.elements),
         elemranks={str(dewey): score for dewey, score in mapping.items()},
-        document_frequencies={
-            word: len(docs) for word, docs in sorted(frequencies.items())
-        },
         elemrank_iterations=result.iterations,
         elemrank_converged=result.converged,
     )
 
 
-def build_full_graph(specs: List) -> CollectionGraph:
-    """Parse every :class:`~repro.build.shard.DocumentSpec` into one graph.
+def build_full_graph(documents: Iterable[Document]) -> CollectionGraph:
+    """One finalized graph over every parsed document of the corpus.
 
-    The coordinator-side half of the exchange: the same parse calls a
-    shard worker will make, applied to the whole corpus, so Dewey IDs and
-    the link structure agree exactly with the union of the shards.
+    The coordinator-side half of the exchange: the shard workers are
+    handed these same documents, so Dewey IDs and the link structure
+    agree exactly with the union of the shards.
     """
-    from .worker import parse_spec
-
     graph = CollectionGraph()
-    for spec in sorted(specs, key=lambda s: s.doc_id):
-        graph.add_document(parse_spec(spec))
+    for document in sorted(documents, key=lambda d: d.doc_id):
+        graph.add_document(document)
     graph.finalize()
     return graph

@@ -22,7 +22,7 @@ from ..datasets.workloads import random_queries
 from ..engine import XRankEngine
 from ..service.core import XRankService
 from .local import LocalCluster
-from .worker import DEFAULT_CLUSTER_KINDS, parse_spec
+from .worker import DEFAULT_CLUSTER_KINDS
 
 #: The battery's shard counts: trivial (1 = pure overhead check), even
 #: split, and more shards than some corpora have large documents.
@@ -58,14 +58,13 @@ def single_node_oracle(
 ) -> XRankService:
     """One engine over the whole corpus, parsed exactly as workers parse.
 
-    Built through the same ``parse_spec`` the shard workers use (same doc
-    ids, same URIs) and the normal full-graph ElemRank path — the answers
-    every cluster topology must reproduce.
+    Built by ``engine.build(corpus=specs)``, which parses through the same
+    ``parse_spec`` the cluster uses (same doc ids, same URIs), and the
+    normal full-graph ElemRank path — the answers every cluster topology
+    must reproduce.
     """
     engine = XRankEngine(config=config)
-    for spec in sorted(specs, key=lambda s: s.doc_id):
-        engine.add_document(parse_spec(spec))
-    engine.build(kinds=kinds)
+    engine.build(kinds=kinds, corpus=specs)
     return XRankService(engine, kinds=kinds)
 
 

@@ -22,18 +22,15 @@ from __future__ import annotations
 import socket
 import sys
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..build.shard import DocumentSpec
 from ..config import XRankConfig
 from ..engine import XRankEngine
 from ..errors import ClusterError
 from ..service.concurrency import GuardedLock
 from ..service.core import XRankService
 from ..service.server import XRankHTTPServer
-from ..xmlmodel.html import parse_html
 from ..xmlmodel.nodes import Document
-from ..xmlmodel.parser import parse_xml
 from .stats import GlobalStats
 
 #: Index kinds a cluster worker builds by default: the headline HDIL plus
@@ -87,45 +84,25 @@ class _WorkerHTTPServer(XRankHTTPServer):
         super().handle_error(request, client_address)
 
 
-def parse_spec(spec: DocumentSpec) -> Document:
-    """Parse one document spec with its pre-assigned global doc id.
-
-    Doc ids are assigned before sharding (exactly as in the parallel
-    build), so the Dewey IDs a worker produces are independent of which
-    worker parses the document — the property that lets global ElemRanks
-    (keyed by Dewey ID) land on shard-local postings.
-    """
-    if spec.source is not None:
-        source = spec.source
-    elif spec.path is not None:
-        with open(spec.path, "r", encoding="utf-8", errors="replace") as fh:
-            source = fh.read()
-    else:
-        raise ClusterError(f"document spec {spec.doc_id} has no source or path")
-    if spec.is_html:
-        return parse_html(source, doc_id=spec.doc_id, uri=spec.uri)
-    return parse_xml(source, doc_id=spec.doc_id, uri=spec.uri)
-
-
 def build_shard_engine(
-    specs: Sequence[DocumentSpec],
+    documents: Sequence[Document],
     stats: GlobalStats,
     kinds: Sequence[str] = DEFAULT_CLUSTER_KINDS,
     config: Optional[XRankConfig] = None,
 ) -> XRankEngine:
     """Build one shard's engine with globally comparable scores.
 
-    Parses the shard's documents (global doc ids preserved), then builds
-    with ``elemrank_overrides`` from the global-statistics exchange —
-    never shard-local link analysis.  Coverage is checked up front so a
-    stale or truncated stats payload fails the build rather than
-    producing silently skewed rankings.
+    Takes the shard's parsed documents (global doc ids preserved) and
+    builds with ``elemrank_overrides`` from the global-statistics
+    exchange — never shard-local link analysis.  Coverage is checked up
+    front so a stale or truncated stats payload fails the build rather
+    than producing silently skewed rankings.
     """
-    if not specs:
+    if not documents:
         raise ClusterError("a shard must hold at least one document")
     engine = XRankEngine(config=config)
-    for spec in sorted(specs, key=lambda s: s.doc_id):
-        engine.add_document(parse_spec(spec))
+    for document in sorted(documents, key=lambda d: d.doc_id):
+        engine.add_document(document)
     engine.graph.finalize()
     stats.require_coverage(engine.graph)
     engine.build(kinds=kinds, elemrank_overrides=stats.elemrank_mapping())
@@ -333,34 +310,3 @@ class ShardWorker:
             "kinds": sorted(self.engine._indexes),
         }
 
-
-def specs_from_sources(sources: Sequence) -> List[DocumentSpec]:
-    """Normalize raw corpus sources into doc-id-assigned specs.
-
-    Accepts what :meth:`XRankEngine.build` accepts for string corpora:
-    XML source strings or ``(source, uri)`` pairs.  Ids are assigned in
-    input order, 0-based — matching what a single-node
-    ``engine.build(corpus=sources)`` over the same list would assign, so
-    the cluster and its single-node oracle agree on every Dewey ID.
-    """
-    specs: List[DocumentSpec] = []
-    for doc_id, item in enumerate(sources):
-        if isinstance(item, DocumentSpec):
-            specs.append(DocumentSpec(
-                doc_id=doc_id,
-                uri=item.uri,
-                source=item.source,
-                path=item.path,
-                is_html=item.is_html,
-                cost=item.cost,
-            ))
-        elif isinstance(item, tuple):
-            source, uri = item
-            specs.append(DocumentSpec(doc_id=doc_id, uri=uri, source=source))
-        else:
-            specs.append(
-                DocumentSpec(
-                    doc_id=doc_id, uri=f"doc{doc_id}", source=str(item)
-                )
-            )
-    return specs

@@ -14,7 +14,7 @@ navigation (Section 2.2's UI remedy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import XRankConfig
@@ -260,11 +260,16 @@ class XRankEngine:
         Args:
             kinds: index flavours to materialize.
             corpus: optional documents to ingest first — an iterable of XML
-                source strings, ``(source, uri)`` pairs, file paths,
-                :class:`~repro.build.DocumentSpec` objects, parsed
+                source strings, ``(source, uri)`` pairs, ``pathlib.Path``
+                files, :class:`~repro.build.DocumentSpec` objects, parsed
                 :class:`Document` objects, or a datasets ``Corpus``.
                 Sources/paths are parsed by the build pipeline, sharded
-                across ``workers`` processes.
+                across ``workers`` processes (see
+                :func:`~repro.build.shard.specs_from`).  Doc ids: a spec
+                or a parsed document keeps its own; every other item is
+                numbered in order from the next free id.  A doc id
+                already in the engine, or repeated within ``corpus``,
+                raises :class:`QueryError` before anything is parsed.
             workers: process count for the parallel build (repro.build).
                 ``1`` is the sequential fallback — same code path per
                 document, no pool — and any ``workers`` value produces
@@ -331,56 +336,38 @@ class XRankEngine:
     ):
         """Add a corpus through the build pipeline; returns merged raw
         postings covering the *whole* graph, or None when they must be
-        re-extracted (pre-parsed documents with unknown coverage)."""
-        from .build.pipeline import (
-            build_corpus,
-            extract_all_raw_postings,
-        )
-        from .build.shard import DocumentSpec
+        re-extracted (the graph holds documents the pipeline did not
+        parse)."""
+        from .build.pipeline import build_corpus
+        from .build.shard import specs_from
 
         items = getattr(corpus, "documents", corpus)
-        specs: List[object] = []
         parsed: List[Document] = []
+        sources: List[object] = []
         for item in items:
-            if isinstance(item, Document):
-                parsed.append(item)
-            else:
-                specs.append(item)
-        old_docs = list(self.graph.documents.values())
+            (parsed if isinstance(item, Document) else sources).append(item)
+        specs = specs_from(
+            sources,
+            start_doc_id=max(
+                [self._next_doc_id] + [d.doc_id + 1 for d in parsed]
+            ),
+        )
+        seen = set()
+        for doc_id in [d.doc_id for d in parsed] + [s.doc_id for s in specs]:
+            if doc_id in self.graph.documents:
+                raise QueryError(f"document id {doc_id} is already taken")
+            if doc_id in seen:
+                raise QueryError(f"corpus repeats document id {doc_id}")
+            seen.add(doc_id)
+
+        had_documents = bool(self.graph.documents)
         for document in parsed:
             self.add_document(document)
         if not specs:
             return None  # pre-parsed only: extraction covers everything later
 
-        normalized = []
-        for item in specs:
-            if isinstance(item, DocumentSpec):
-                normalized.append(
-                    replace(item, doc_id=self._take_doc_id())
-                )
-            elif isinstance(item, tuple):
-                source, uri = item
-                normalized.append(
-                    DocumentSpec(
-                        doc_id=self._take_doc_id(), uri=uri, source=source
-                    )
-                )
-            elif hasattr(item, "read_text"):  # pathlib.Path
-                suffix = item.suffix.lower()
-                normalized.append(
-                    DocumentSpec(
-                        doc_id=self._take_doc_id(),
-                        uri=item.name,
-                        path=str(item),
-                        is_html=suffix in (".html", ".htm"),
-                    )
-                )
-            else:
-                normalized.append(
-                    DocumentSpec(doc_id=self._take_doc_id(), source=str(item))
-                )
         result = build_corpus(
-            normalized,
+            specs,
             workers=workers,
             spill_dir=spill_dir,
             on_parse_error=on_parse_error,
@@ -392,24 +379,11 @@ class XRankEngine:
         self.generation += 1
         self.last_build_stats = result.stats
         self.last_build_skipped = list(result.skipped)
-        if parsed:
-            # Mixed pre-parsed + sources: coverage bookkeeping isn't worth
-            # it; fall back to re-extracting over the final graph.
+        if parsed or had_documents:
+            # The pipeline's postings cover only the new sources; re-extract
+            # over the final graph instead of splicing in the rest.
             return None
-        if not old_docs:
-            return result.raw_postings
-        # Existing documents all precede the new ones (ids are monotone),
-        # so folding old-then-new preserves the global scan order.
-        old_raw, _stats = extract_all_raw_postings(
-            old_docs,
-            workers=workers,
-            spill_dir=spill_dir,
-            fault_plan=fault_plan,
-        )
-        combined = {k: list(v) for k, v in old_raw.items()}
-        for keyword, entries in result.raw_postings.items():
-            combined.setdefault(keyword, []).extend(entries)
-        return combined
+        return result.raw_postings
 
     def _build_kind(self, kind: str) -> None:
         builder = self.builder

@@ -16,12 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.build.merge import merge_shard_results
-from repro.build.pipeline import (
-    build_corpus,
-    extract_all_raw_postings,
-    specs_from_sources,
-)
-from repro.build.shard import DocumentSpec, shard_specs
+from repro.build.pipeline import build_corpus, extract_all_raw_postings
+from repro.build.shard import DocumentSpec, shard_specs, specs_from
 from repro.build.verify import compare_engines, default_probe_queries
 from repro.build.worker import (
     FAULT_CRASH,
@@ -30,7 +26,8 @@ from repro.build.worker import (
     process_shard,
 )
 from repro.engine import XRankEngine
-from repro.errors import BuildError
+from repro.cluster.verify import single_node_oracle
+from repro.errors import BuildError, QueryError
 
 #: A small corpus with cross-document hyperlinks (ElemRank edges), shared
 #: keywords (multi-document posting lists) and varied sizes (LPT has
@@ -82,7 +79,7 @@ def _engine(workers: int, spill_dir=None) -> XRankEngine:
 class TestShardSpecs:
     def _specs(self, costs):
         return [
-            DocumentSpec(doc_id=i, uri=f"d{i}", source="x", cost=cost)
+            DocumentSpec(doc_id=i, uri=f"d{i}", source="x" * cost)
             for i, cost in enumerate(costs)
         ]
 
@@ -159,7 +156,7 @@ class TestParallelIdentity:
 
 class TestFaults:
     def _specs(self):
-        return specs_from_sources(list(CORPUS))
+        return specs_from(list(CORPUS))
 
     def test_worker_crash_surfaces_build_error(self):
         # A worker dying mid-shard (os._exit) breaks the pool; the parent
@@ -172,14 +169,14 @@ class TestFaults:
             build_corpus(self._specs(), workers=2, _fault=(0, FAULT_RAISE))
 
     def test_parse_error_raise_policy(self):
-        specs = specs_from_sources(["<broken", *[s for s, _ in CORPUS]])
+        specs = specs_from(["<broken", *[s for s, _ in CORPUS]])
         with pytest.raises(BuildError, match="cannot parse"):
             build_corpus(specs, workers=2)
 
     def test_parse_error_skip_policy(self):
         sources = [CORPUS[0], ("<broken", "broken.xml"), CORPUS[1]]
         result = build_corpus(
-            specs_from_sources(sources), workers=2, on_parse_error="skip"
+            specs_from(sources), workers=2, on_parse_error="skip"
         )
         assert [doc.uri for doc in result.documents] == [
             "workshop.xml",
@@ -187,6 +184,100 @@ class TestFaults:
         ]
         assert len(result.skipped) == 1
         assert result.skipped[0][0] == "broken.xml"
+
+
+class TestOneIngestionPath:
+    """Every corpus item form goes through ``specs_from``/``parse_spec``."""
+
+    #: Bare strings carry no URI, so only a corpus without XLinks means
+    #: the same thing in every input form.
+    LINK_FREE = [(s, uri) for s, uri in CORPUS if "xlink" not in s]
+
+    def _forms(self, directory):
+        for source, uri in self.LINK_FREE:
+            (directory / uri).write_text(source, encoding="utf-8")
+        return {
+            "strings": [source for source, _ in self.LINK_FREE],
+            "pairs": list(self.LINK_FREE),
+            "source specs": [
+                DocumentSpec(doc_id=i, uri=uri, source=source)
+                for i, (source, uri) in enumerate(self.LINK_FREE)
+            ],
+            "path specs": [
+                DocumentSpec(doc_id=i, uri=uri, path=str(directory / uri))
+                for i, (_, uri) in enumerate(self.LINK_FREE)
+            ],
+            "paths": [directory / uri for _, uri in self.LINK_FREE],
+        }
+
+    def test_every_input_form_builds_identical_bytes(self, tmp_path):
+        reference = None
+        for form, corpus in self._forms(tmp_path).items():
+            for workers in (1, 2):
+                engine = XRankEngine()
+                engine.build(kinds=["dil"], corpus=corpus, workers=workers)
+                built = (
+                    engine.index("dil").disk.pages,
+                    engine.builder.elemranks,
+                )
+                if reference is None:
+                    reference = built
+                assert built == reference, (form, workers)
+
+    def test_spec_doc_ids_are_kept(self):
+        specs = [
+            DocumentSpec(doc_id=5, source="<a><t>kept</t></a>"),
+            DocumentSpec(doc_id=9, source="<b><t>kept</t></b>"),
+        ]
+        engine = XRankEngine()
+        engine.build(kinds=["dil"], corpus=specs)
+        assert set(engine.graph.documents) == {5, 9}
+        hits = engine.search("kept", m=10, kind="dil")
+        assert sorted(hit.dewey for hit in hits) == ["5.0", "9.0"]
+        oracle = single_node_oracle(specs, kinds=("dil",))
+        assert [
+            (hit.dewey, hit.rank) for hit in hits
+        ] == [
+            (hit["dewey"], hit["rank"])
+            for hit in oracle.search("kept", m=10, kind="dil").to_dict()[
+                "results"
+            ]
+        ]
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            [DocumentSpec(doc_id=5, source="<c><t>clash</t></c>")],
+            [
+                DocumentSpec(doc_id=7, source="<c><t>one</t></c>"),
+                DocumentSpec(doc_id=7, source="<d><t>two</t></d>"),
+            ],
+        ],
+        ids=["taken", "repeated"],
+    )
+    def test_colliding_doc_id_is_rejected_before_parsing(self, corpus):
+        engine = XRankEngine()
+        engine.build(
+            kinds=["dil"],
+            corpus=[DocumentSpec(doc_id=5, source="<a><t>kept</t></a>")],
+        )
+        before = dict(engine.graph.documents)
+        with pytest.raises(QueryError):
+            engine.build(kinds=["dil"], corpus=corpus + ["<broken"])
+        assert engine.graph.documents == before
+
+    def test_items_are_numbered_around_claimed_ids(self):
+        specs = specs_from(
+            ["<a/>", DocumentSpec(doc_id=1, source="<b/>"), "<c/>"]
+        )
+        assert [spec.doc_id for spec in specs] == [0, 1, 2]
+        assert [spec.uri for spec in specs] == ["", "", ""]
+
+    def test_spec_needs_exactly_one_of_source_and_path(self):
+        with pytest.raises(BuildError):
+            DocumentSpec(doc_id=0)
+        with pytest.raises(BuildError):
+            DocumentSpec(doc_id=0, source="<a/>", path="a.xml")
 
 
 # -- property-based determinism ----------------------------------------------------
@@ -222,7 +313,7 @@ class TestShardMergeProperty:
         exactly the one-shard result: same keywords, same insertion order,
         same skeletons.
         """
-        specs = specs_from_sources(_to_sources(word_lists))
+        specs = specs_from(_to_sources(word_lists))
         reference = merge_shard_results(
             [process_shard(ShardTask(shard_id=0, specs=list(specs)))]
         )

@@ -5,13 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator, ReplicaEndpoint
+from repro.build.shard import parse_spec, specs_from
 from repro.cluster.local import LocalCluster
 from repro.cluster.stats import build_full_graph, compute_global_stats
-from repro.cluster.worker import (
-    ShardWorker,
-    build_shard_engine,
-    specs_from_sources,
-)
+from repro.cluster.worker import ShardWorker, build_shard_engine
 from repro.errors import (
     ClusterError,
     ServiceHTTPError,
@@ -156,9 +153,9 @@ class TestDeadlinePropagation:
 
 class TestWorkerSnapshots:
     def test_replica_bring_up_from_snapshot(self, tmp_path):
-        specs = specs_from_sources(CORPUS)
-        stats = compute_global_stats(build_full_graph(specs))
-        engine = build_shard_engine(specs[:3], stats)
+        documents = [parse_spec(spec) for spec in specs_from(CORPUS)]
+        stats = compute_global_stats(build_full_graph(documents))
+        engine = build_shard_engine(documents[:3], stats)
         primary = ShardWorker(engine, shard_id=0).start()
         snapshot = tmp_path / "shard0.xrank"
         primary.snapshot(snapshot)
@@ -178,9 +175,9 @@ class TestWorkerSnapshots:
             replica.stop()
 
     def test_port_raises_when_not_running(self):
-        specs = specs_from_sources(CORPUS[:2])
-        stats = compute_global_stats(build_full_graph(specs))
-        worker = ShardWorker(build_shard_engine(specs, stats), shard_id=0)
+        documents = [parse_spec(spec) for spec in specs_from(CORPUS[:2])]
+        stats = compute_global_stats(build_full_graph(documents))
+        worker = ShardWorker(build_shard_engine(documents, stats), shard_id=0)
         with pytest.raises(ClusterError):
             _ = worker.port
 

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.build.shard import DocumentSpec
+from repro.build.shard import parse_spec, specs_from
+from repro.cluster.local import LocalCluster
 from repro.cluster.merge import dewey_sort_key, hit_order_key, merge_hits
 from repro.cluster.stats import (
     GlobalStats,
     build_full_graph,
     compute_global_stats,
 )
-from repro.cluster.worker import build_shard_engine, specs_from_sources
+from repro.cluster.worker import build_shard_engine
 from repro.engine import XRankEngine
 from repro.errors import StatsExchangeError
 
@@ -78,56 +81,95 @@ CORPUS = [
 ]
 
 
+def parsed(corpus):
+    return [parse_spec(spec) for spec in specs_from(corpus)]
+
+
 class TestGlobalStats:
     def test_stats_cover_every_element(self):
-        specs = specs_from_sources(CORPUS)
-        graph = build_full_graph(specs)
+        graph = build_full_graph(parsed(CORPUS))
         stats = compute_global_stats(graph)
         assert stats.num_documents == len(CORPUS)
         assert stats.num_elements == len(stats.elemranks)
         stats.require_coverage(graph)  # must not raise
 
     def test_stats_match_single_node_elemranks(self):
-        specs = specs_from_sources(CORPUS)
-        stats = compute_global_stats(build_full_graph(specs))
+        stats = compute_global_stats(build_full_graph(parsed(CORPUS)))
         engine = XRankEngine()
-        for spec in specs:
-            engine.add_xml(spec.source, uri=spec.uri)
+        for source in CORPUS:
+            engine.add_xml(source)
         engine.build(kinds=("dil",))
         for dewey, score in engine.builder.elemranks.items():
             assert stats.elemranks[str(dewey)] == score
 
-    def test_document_frequencies(self):
-        specs = specs_from_sources(CORPUS)
-        stats = compute_global_stats(build_full_graph(specs))
-        assert stats.document_frequencies["shared"] == 3
-        assert stats.document_frequencies["alpha"] == 2
-        assert stats.document_frequencies["epsilon"] == 1
-
     def test_json_roundtrip_is_exact(self, tmp_path):
-        specs = specs_from_sources(CORPUS)
-        stats = compute_global_stats(build_full_graph(specs))
+        stats = compute_global_stats(build_full_graph(parsed(CORPUS)))
         path = tmp_path / "stats.json"
         stats.save(path)
         restored = GlobalStats.load(path)
         assert restored.elemranks == stats.elemranks  # float repr: exact
         assert restored.to_dict() == stats.to_dict()
+        # A payload written before document frequencies were dropped
+        # still loads, to the same stats.
+        older = dict(stats.to_dict(), document_frequencies={"alpha": 2})
+        path.write_text(json.dumps(older), encoding="utf-8")
+        assert GlobalStats.load(path).to_dict() == stats.to_dict()
 
     def test_partial_stats_fail_loudly(self):
-        specs = specs_from_sources(CORPUS)
-        stats = compute_global_stats(build_full_graph(specs[:2]))
+        documents = parsed(CORPUS)
+        stats = compute_global_stats(build_full_graph(documents[:2]))
         with pytest.raises(StatsExchangeError):
-            build_shard_engine(specs[2:], stats, kinds=("dil",))
+            build_shard_engine(parsed(CORPUS)[2:], stats, kinds=("dil",))
 
     def test_shard_engine_postings_carry_global_scores(self):
-        specs = specs_from_sources(CORPUS)
-        stats = compute_global_stats(build_full_graph(specs))
-        shard = build_shard_engine(specs[2:], stats, kinds=("dil",))
+        stats = compute_global_stats(build_full_graph(parsed(CORPUS)))
+        shard = build_shard_engine(parsed(CORPUS)[2:], stats, kinds=("dil",))
         single = XRankEngine()
-        for spec in specs:
-            single.add_xml(spec.source, uri=spec.uri)
+        for source in CORPUS:
+            single.add_xml(source)
         single.build(kinds=("dil",))
         # The shard's ElemRanks for its documents equal the single-node
         # values — not what a shard-local power iteration would produce.
         for dewey, score in shard.builder.elemranks.items():
             assert single.builder.elemranks[dewey] == score
+
+
+class TestIngestion:
+    """The cluster ingests a corpus exactly as a single engine does."""
+
+    LINKED = [
+        "<a><cite xlink='doc1'/><t>alpha</t></a>",
+        "<b><t>alpha target</t></b>",
+        "<c><t>alpha</t></c>",
+    ]
+
+    def test_bare_strings_rank_as_on_one_node(self):
+        # Bare strings carry the URI "" on both sides, so the XLink to
+        # "doc1" dangles in the cluster exactly as it does on one node.
+        engine = XRankEngine()
+        engine.build(kinds=["dil"], corpus=self.LINKED)
+        expected = [
+            (hit.dewey, hit.rank)
+            for hit in engine.search("alpha", m=10, kind="dil")
+        ]
+        with LocalCluster.from_sources(
+            self.LINKED, num_shards=2, kinds=("dil",)
+        ) as cluster:
+            response = cluster.search("alpha", m=10, kind="dil").to_dict()
+        assert [
+            (hit["dewey"], hit["rank"]) for hit in response["results"]
+        ] == expected
+
+    def test_cluster_parses_each_spec_once(self, monkeypatch):
+        calls = []
+
+        def counting_parse_spec(spec):
+            calls.append(spec.doc_id)
+            return parse_spec(spec)
+
+        monkeypatch.setattr(
+            "repro.cluster.local.parse_spec", counting_parse_spec
+        )
+        specs = specs_from(CORPUS)
+        LocalCluster(specs, num_shards=2, kinds=("dil",))
+        assert sorted(calls) == [spec.doc_id for spec in specs]

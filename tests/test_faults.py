@@ -13,7 +13,8 @@ import pytest
 
 from repro.analysis.linter import Linter
 from repro.analysis.rules import ALL_RULES
-from repro.build.pipeline import build_corpus, specs_from_sources
+from repro.build.pipeline import build_corpus
+from repro.build.shard import specs_from
 from repro.config import StorageParams
 from repro.errors import (
     BuildError,
@@ -404,18 +405,18 @@ _SOURCES = [
 
 class TestBuildRetries:
     def _clean(self):
-        return build_corpus(specs_from_sources(_SOURCES))
+        return build_corpus(specs_from(_SOURCES))
 
     def test_inline_worker_crash_retried(self):
         plan = FaultPlan(1, [FaultSpec(SITE_WORKER_CRASH, 1.0, times=1)])
-        result = build_corpus(specs_from_sources(_SOURCES), fault_plan=plan)
+        result = build_corpus(specs_from(_SOURCES), fault_plan=plan)
         assert result.stats.retries >= 1
         assert result.raw_postings == self._clean().raw_postings
 
     def test_runfile_corruption_retried(self, tmp_path):
         plan = FaultPlan(2, [FaultSpec(SITE_RUNFILE_CORRUPT, 1.0, times=1)])
         result = build_corpus(
-            specs_from_sources(_SOURCES),
+            specs_from(_SOURCES),
             spill_dir=tmp_path,
             fault_plan=plan,
         )
@@ -426,7 +427,7 @@ class TestBuildRetries:
     def test_persistent_crash_fails_after_capped_attempts(self):
         plan = FaultPlan(3, [FaultSpec(SITE_WORKER_CRASH, 1.0)])
         with pytest.raises(BuildError) as excinfo:
-            build_corpus(specs_from_sources(_SOURCES), fault_plan=plan)
+            build_corpus(specs_from(_SOURCES), fault_plan=plan)
         assert "attempts" in str(excinfo.value)
 
     def test_pool_worker_crash_retried(self, tmp_path):
@@ -438,7 +439,7 @@ class TestBuildRetries:
             ],
         )
         result = build_corpus(
-            specs_from_sources(_SOURCES),
+            specs_from(_SOURCES),
             workers=2,
             spill_dir=tmp_path,
             fault_plan=plan,
