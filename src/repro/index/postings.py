@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..storage.records import RecordReader, RecordWriter
-from ..xmlmodel.dewey import DeweyId
+from ..errors import DeweyError, StorageError
+from ..storage.records import FLOAT32, put_uint_list, read_uint_list
+from ..xmlmodel.dewey import DeweyId, _trusted, varint_tail
 from ..xmlmodel.graph import CollectionGraph
 
 
@@ -33,35 +34,69 @@ class Posting:
 
     def encode(self) -> bytes:
         """Serialize as dewey + float32 rank + delta posList."""
-        writer = RecordWriter()
-        writer.dewey(self.dewey)
-        writer.float32(self.elemrank)
-        writer.uint_list(list(self.positions))
-        return writer.getvalue()
+        out = bytearray(self.dewey.encode())
+        out += FLOAT32.pack(self.elemrank)
+        put_uint_list(out, self.positions)
+        return bytes(out)
 
     @classmethod
     def decode(cls, data: bytes) -> "Posting":
-        reader = RecordReader(data)
-        dewey = reader.dewey()
-        elemrank = reader.float32()
-        positions = tuple(reader.uint_list())
-        return cls(dewey, elemrank, positions)
+        """Inverse of :meth:`encode`, in one pass over the record.
+
+        A truncated or malformed Dewey ID or posList raises
+        :class:`~repro.errors.DeweyError`, a truncated rank
+        :class:`~repro.errors.StorageError`; trailing bytes are ignored.
+        """
+        try:
+            count = data[0]
+            pos = 1
+            if count > 0x7F:
+                count, pos = varint_tail(data, pos, count)
+            if count == 0:
+                raise DeweyError("encoded Dewey ID has zero components")
+            components = []
+            for _ in range(count):
+                value = data[pos]
+                pos += 1
+                if value > 0x7F:
+                    value, pos = varint_tail(data, pos, value)
+                components.append(value)
+            if pos + 4 > len(data):
+                raise StorageError("truncated float32 field")
+            elemrank = _unpack_float32(data, pos)[0]
+            count = data[pos + 4]
+            pos += 5
+            if count > 0x7F:
+                count, pos = varint_tail(data, pos, count)
+            positions = []
+            current = 0
+            for _ in range(count):
+                value = data[pos]
+                pos += 1
+                if value > 0x7F:
+                    value, pos = varint_tail(data, pos, value)
+                current += value
+                positions.append(current)
+        except IndexError:
+            raise DeweyError("truncated varint") from None
+        return cls(_trusted(tuple(components)), elemrank, tuple(positions))
 
     @classmethod
     def decode_payload(cls, dewey: DeweyId, payload: bytes) -> "Posting":
         """Decode a posting whose Dewey ID is stored separately (B+-trees)."""
-        reader = RecordReader(payload)
-        elemrank = reader.float32()
-        positions = tuple(reader.uint_list())
-        return cls(dewey, elemrank, positions)
+        if len(payload) < 4:
+            raise StorageError("truncated float32 field")
+        positions, _ = read_uint_list(payload, 4)
+        return cls(dewey, _unpack_float32(payload, 0)[0], tuple(positions))
 
     def encode_payload(self) -> bytes:
         """Encode rank + posList only (the Dewey ID is the B+-tree key)."""
-        writer = RecordWriter()
-        writer.float32(self.elemrank)
-        writer.uint_list(list(self.positions))
-        return writer.getvalue()
+        out = bytearray(FLOAT32.pack(self.elemrank))
+        put_uint_list(out, self.positions)
+        return bytes(out)
 
+
+_unpack_float32 = FLOAT32.unpack_from
 
 #: keyword -> postings sorted by Dewey ID.
 PostingMap = Dict[str, List[Posting]]

@@ -47,13 +47,22 @@ _NO_PAGE = 0  # page-id + 1 encoding, 0 means "none"
 def _encode_leaf(
     entries: List[Tuple[DeweyId, bytes]], prev_page: int, next_page: int
 ) -> bytes:
+    return _leaf_page(
+        [(key.encode(), payload) for key, payload in entries], prev_page, next_page
+    )
+
+
+def _leaf_page(
+    entries: List[Tuple[bytes, bytes]], prev_page: int, next_page: int
+) -> bytes:
+    """A leaf page over (encoded key, payload) pairs."""
     writer = RecordWriter()
     writer.uint(_LEAF)
     writer.uint(prev_page + 1)
     writer.uint(next_page + 1)
     writer.uint(len(entries))
-    for key, payload in entries:
-        writer.dewey(key)
+    for key_bytes, payload in entries:
+        writer.raw(key_bytes)
         writer.bytes_field(payload)
     return writer.getvalue()
 
@@ -170,12 +179,15 @@ class BTree:
             return cls(disk, root, 1, 0, 0, len(disk.pages[root]), [root])
 
         page_size = disk.page_size
-        # Greedily pack leaves, respecting the page size.
-        leaf_groups: List[List[Tuple[DeweyId, bytes]]] = []
-        current: List[Tuple[DeweyId, bytes]] = []
+        # Greedily pack leaves, respecting the page size.  Each key is
+        # encoded once: its bytes both size the entry and fill the page.
+        leaf_groups: List[List[Tuple[bytes, bytes]]] = []
+        first_keys: List[DeweyId] = []
+        current: List[Tuple[bytes, bytes]] = []
         current_size = 16  # header slack
         for key, payload in entries:
-            entry_size = key.encoded_size() + len(payload) + 5
+            key_bytes = key.encode()
+            entry_size = len(key_bytes) + len(payload) + 5
             if entry_size + 16 > page_size:
                 raise BTreeError(
                     f"entry of {entry_size} bytes cannot fit one page"
@@ -184,7 +196,9 @@ class BTree:
                 leaf_groups.append(current)
                 current = []
                 current_size = 16
-            current.append((key, payload))
+            if not current:
+                first_keys.append(key)
+            current.append((key_bytes, payload))
             current_size += entry_size
         if current:
             leaf_groups.append(current)
@@ -195,11 +209,11 @@ class BTree:
         for i, group in enumerate(leaf_groups):
             prev_page = leaf_ids[i - 1] if i > 0 else -1
             next_page = leaf_ids[i + 1] if i + 1 < len(leaf_ids) else -1
-            encoded = _encode_leaf(group, prev_page, next_page)
+            encoded = _leaf_page(group, prev_page, next_page)
             disk.write(leaf_ids[i], encoded)
             leaf_bytes += len(encoded)
 
-        index = [(group[0][0], page_id) for group, page_id in zip(leaf_groups, leaf_ids)]
+        index = list(zip(first_keys, leaf_ids))
         root, height, internal_bytes = _build_internal_levels(disk, index)
         return cls(
             disk,

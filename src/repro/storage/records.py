@@ -11,13 +11,14 @@ measured with one consistent encoding.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from ..errors import StorageError
-from ..xmlmodel.dewey import DeweyId, decode_varint, encode_varint
+from ..errors import DeweyError, StorageError
+from ..xmlmodel.dewey import DeweyId, decode_varint, encode_varint, varint_tail
 
 _FLOAT = struct.Struct("<d")
-_FLOAT32 = struct.Struct("<f")
+#: A posting's rank field (ranks are stored at 4-byte precision).
+FLOAT32 = struct.Struct("<f")
 
 
 class RecordWriter:
@@ -38,7 +39,7 @@ class RecordWriter:
 
     def float32(self, value: float) -> "RecordWriter":
         """4-byte float; ranks are stored at this precision (2003-era)."""
-        self._parts.append(_FLOAT32.pack(value))
+        self._parts.append(FLOAT32.pack(value))
         return self
 
     def raw(self, data: bytes) -> "RecordWriter":
@@ -57,15 +58,11 @@ class RecordWriter:
         self._parts.append(dewey.encode())
         return self
 
-    def uint_list(self, values: List[int]) -> "RecordWriter":
+    def uint_list(self, values: Sequence[int]) -> "RecordWriter":
         """Delta-encoded sorted integer list (positions compress well)."""
-        self.uint(len(values))
-        previous = 0
-        for value in values:
-            if value < previous:
-                raise StorageError("uint_list requires a sorted list")
-            self.uint(value - previous)
-            previous = value
+        out = bytearray()
+        put_uint_list(out, values)
+        self._parts.append(bytes(out))
         return self
 
     def getvalue(self) -> bytes:
@@ -103,10 +100,10 @@ class RecordReader:
 
     def float32(self) -> float:
         """Read a 4-byte float."""
-        end = self.offset + _FLOAT32.size
+        end = self.offset + FLOAT32.size
         if end > len(self.data):
             raise StorageError("truncated float32 field")
-        value = _FLOAT32.unpack_from(self.data, self.offset)[0]
+        value = FLOAT32.unpack_from(self.data, self.offset)[0]
         self.offset = end
         return value
 
@@ -127,13 +124,52 @@ class RecordReader:
 
     def uint_list(self) -> List[int]:
         """Read a delta-encoded sorted integer list."""
-        count = self.uint()
+        values, self.offset = read_uint_list(self.data, self.offset)
+        return values
+
+
+def put_uint_list(out: bytearray, values: Sequence[int]) -> None:
+    """Append ``varint(count) || varint(delta)*`` for a sorted list."""
+    value = len(values)
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    previous = 0
+    for current in values:
+        value = current - previous
+        if value < 0:
+            raise StorageError("uint_list requires a sorted list")
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+        previous = current
+
+
+def read_uint_list(data: bytes, offset: int) -> Tuple[List[int], int]:
+    """Read :func:`put_uint_list`'s bytes; returns ``(values, next_offset)``.
+
+    Truncated or malformed bytes raise :class:`~repro.errors.DeweyError`,
+    the varint codec's error.
+    """
+    try:
+        count = data[offset]
+        pos = offset + 1
+        if count > 0x7F:
+            count, pos = varint_tail(data, pos, count)
         values: List[int] = []
         current = 0
         for _ in range(count):
-            current += self.uint()
+            delta = data[pos]
+            pos += 1
+            if delta > 0x7F:
+                delta, pos = varint_tail(data, pos, delta)
+            current += delta
             values.append(current)
-        return values
+    except IndexError:
+        raise DeweyError("truncated varint") from None
+    return values, pos
 
 
 def pack_into_pages(

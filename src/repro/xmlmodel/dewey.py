@@ -19,6 +19,7 @@ number of bits are usually sufficient to encode each component".
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Optional, Tuple
 
 from ..errors import DeweyError
@@ -29,14 +30,11 @@ def encode_varint(value: int) -> bytes:
     if value < 0:
         raise DeweyError(f"varint components must be non-negative, got {value}")
     out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
+    return bytes(out)
 
 
 def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
@@ -44,20 +42,55 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
 
     Returns ``(value, next_offset)``.
     """
-    result = 0
-    shift = 0
-    pos = offset
+    if offset >= len(data):
+        raise DeweyError("truncated varint")
+    value = data[offset]
+    if value > 0x7F:
+        return varint_tail(data, offset + 1, value)
+    return value, offset + 1
+
+
+def varint_tail(data: bytes, pos: int, first: int) -> Tuple[int, int]:
+    """Finish a multi-byte varint whose first byte ``first`` (> 0x7F) was
+    read just before ``pos``; returns ``(value, next_offset)``.
+
+    The record decoders read one-byte varints inline and call this only
+    for the rare longer ones.  At most ten bytes make a varint.
+    """
+    value = first & 0x7F
+    shift = 7
+    end = len(data)
     while True:
-        if pos >= len(data):
+        if pos >= end:
             raise DeweyError("truncated varint")
         byte = data[pos]
         pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
         shift += 7
         if shift > 63:
             raise DeweyError("varint too long")
+
+
+def _component(value: object) -> int:
+    """One caller-supplied Dewey component as a non-negative ``int``.
+
+    ``operator.index`` takes integer-likes such as numpy integers and
+    rejects floats and strings instead of truncating or parsing them;
+    bools are ints to Python but never a sibling position.
+    """
+    if isinstance(value, bool):
+        raise DeweyError(f"Dewey components must be integers, got {value!r}")
+    try:
+        component = index(value)
+    except TypeError:
+        raise DeweyError(
+            f"Dewey components must be integers, got {value!r}"
+        ) from None
+    if component < 0:
+        raise DeweyError(f"Dewey components must be >= 0, got {component}")
+    return component
 
 
 class DeweyId:
@@ -75,12 +108,13 @@ class DeweyId:
     __slots__ = ("_components", "_hash")
 
     def __init__(self, components: Iterable[int]):
-        comps = tuple(int(c) for c in components)
+        comps = tuple(components)
         if not comps:
             raise DeweyError("a Dewey ID needs at least one component")
         for c in comps:
-            if c < 0:
-                raise DeweyError(f"Dewey components must be >= 0, got {c}")
+            if type(c) is not int or c < 0:
+                comps = tuple(map(_component, comps))
+                break
         self._components = comps
         self._hash = hash(comps)
 
@@ -177,7 +211,7 @@ class DeweyId:
         n = self.common_prefix_length(other)
         if n == 0:
             return None
-        return DeweyId(self._components[:n])
+        return _trusted(self._components[:n])
 
     def common_prefix_length(self, other: "DeweyId") -> int:
         """Length (in components) of the longest common prefix."""
@@ -194,13 +228,13 @@ class DeweyId:
             raise DeweyError(
                 f"prefix length {length} out of range for {self}"
             )
-        return DeweyId(self._components[:length])
+        return _trusted(self._components[:length])
 
     def parent(self) -> Optional["DeweyId"]:
         """The parent element's ID, or ``None`` at the document root."""
         if len(self._components) == 1:
             return None
-        return DeweyId(self._components[:-1])
+        return _trusted(self._components[:-1])
 
     def child(self, position: int) -> "DeweyId":
         """The ID of the child at sibling ``position``."""
@@ -211,7 +245,7 @@ class DeweyId:
     def ancestors(self) -> Iterator["DeweyId"]:
         """Yield every strict ancestor, nearest first (parent, ..., doc root)."""
         for length in range(len(self._components) - 1, 0, -1):
-            yield DeweyId(self._components[:length])
+            yield _trusted(self._components[:length])
 
     def successor_sibling(self) -> "DeweyId":
         """The smallest ID strictly greater than every descendant of ``self``.
@@ -219,32 +253,64 @@ class DeweyId:
         Used as an exclusive upper bound for B+-tree range scans over the
         subtree rooted at ``self``.
         """
-        return DeweyId(self._components[:-1] + (self._components[-1] + 1,))
+        return _trusted(self._components[:-1] + (self._components[-1] + 1,))
 
     # -- binary codec ----------------------------------------------------------
 
     def encode(self) -> bytes:
         """Serialize as ``varint(count) || varint(component)*``."""
-        out = bytearray(encode_varint(len(self._components)))
-        for c in self._components:
-            out += encode_varint(c)
+        out = bytearray()
+        for value in (len(self._components),) + self._components:
+            while value > 0x7F:
+                out.append(value & 0x7F | 0x80)
+                value >>= 7
+            out.append(value)
         return bytes(out)
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> Tuple["DeweyId", int]:
-        """Deserialize a Dewey ID; returns ``(id, next_offset)``."""
-        count, pos = decode_varint(data, offset)
-        if count == 0:
-            raise DeweyError("encoded Dewey ID has zero components")
-        comps = []
-        for _ in range(count):
-            value, pos = decode_varint(data, pos)
-            comps.append(value)
-        return cls(comps), pos
+        """Deserialize a Dewey ID; returns ``(id, next_offset)``.
+
+        Truncated or malformed bytes raise :class:`DeweyError`; bytes after
+        the ID are left for the caller.
+        """
+        try:
+            count = data[offset]
+            pos = offset + 1
+            if count > 0x7F:
+                count, pos = varint_tail(data, pos, count)
+            if count == 0:
+                raise DeweyError("encoded Dewey ID has zero components")
+            comps = []
+            for _ in range(count):
+                value = data[pos]
+                pos += 1
+                if value > 0x7F:
+                    value, pos = varint_tail(data, pos, value)
+                comps.append(value)
+        except IndexError:
+            raise DeweyError("truncated varint") from None
+        return _trusted(tuple(comps)), pos
 
     def encoded_size(self) -> int:
         """Size in bytes of :meth:`encode`'s output (for space accounting)."""
         return len(self.encode())
+
+
+_new = object.__new__
+
+
+def _trusted(components: Tuple[int, ...]) -> DeweyId:
+    """A :class:`DeweyId` over ``components`` without ``__init__``'s checks.
+
+    Only for tuples that are already non-empty and made of non-negative
+    ``int`` s: a varint decoder's output, or a slice of a valid ID's
+    components.  Caller-supplied components go through ``DeweyId(...)``.
+    """
+    dewey = _new(DeweyId)
+    dewey._components = components
+    dewey._hash = hash(components)
+    return dewey
 
 
 def deepest_common_ancestor(ids: Iterable[DeweyId]) -> Optional[DeweyId]:
@@ -268,4 +334,4 @@ def deepest_common_ancestor(ids: Iterable[DeweyId]) -> Optional[DeweyId]:
         if n == 0:
             return None
         prefix = prefix[:n]
-    return DeweyId(prefix)
+    return _trusted(prefix)

@@ -34,6 +34,36 @@ class TestConstruction:
         with pytest.raises(DeweyError):
             DeweyId((1, -2))
 
+    @pytest.mark.parametrize(
+        "components", [(1.7, 2), (2.0,), ("3", 4), (True, 2), (0, False), (None,)]
+    )
+    def test_non_integer_component_rejected(self, components):
+        # Floats used to truncate (1.7.2 read as 1.2), strings to parse,
+        # and bools to pass as 1 and 0.
+        with pytest.raises(DeweyError):
+            DeweyId(components)
+
+    def test_integer_likes_accepted_as_ints(self):
+        numpy = pytest.importorskip("numpy")
+        dewey = DeweyId([numpy.int64(3), numpy.uint8(4), 5])
+        assert dewey == DeweyId((3, 4, 5))
+        assert all(type(c) is int for c in dewey.components)
+        assert hash(dewey) == hash(DeweyId((3, 4, 5)))
+
+    def test_derived_ids_equal_constructed_ones(self):
+        dewey = DeweyId((4, 0, 2, 7))
+        assert dewey.prefix(2) == DeweyId((4, 0))
+        assert hash(dewey.parent()) == hash(DeweyId((4, 0, 2)))
+        assert dewey.common_prefix(DeweyId((4, 0, 3))) == DeweyId((4, 0))
+        assert list(dewey.ancestors()) == [
+            DeweyId((4, 0, 2)), DeweyId((4, 0)), DeweyId((4,))
+        ]
+        assert dewey.successor_sibling() == DeweyId((4, 0, 2, 8))
+        with pytest.raises(DeweyError):
+            dewey.child(-1)
+        with pytest.raises(DeweyError):
+            dewey.child(1.5)
+
     def test_parse_garbage_rejected(self):
         with pytest.raises(DeweyError):
             DeweyId.parse("1.x.2")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import StorageParams
 from repro.engine import XRankEngine
-from repro.errors import QueryError, StorageError
+from repro.errors import DeweyError, QueryError, StorageError
 from repro.index.postings import Posting
 from repro.query.streams import PostingStream, open_stream, smallest_head_index
 from repro.service.cache import GenerationalLRU
@@ -147,9 +147,10 @@ class TestOneReadPath:
 
 
 class TestFailureInjection:
-    def test_corrupt_record_raises_storage_error(self):
-        with pytest.raises((StorageError, Exception)):
-            Posting.decode(b"\x03\x01\x02")  # truncated
+    def test_corrupt_record_raises_typed_error(self):
+        # Three components announced, two present: the Dewey ID is short.
+        with pytest.raises(DeweyError):
+            Posting.decode(b"\x03\x01\x02")
 
     def test_corrupt_page_in_list_raises(self):
         disk = SimulatedDisk(StorageParams(page_size=256))
