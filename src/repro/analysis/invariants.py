@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..index.postings import Posting
+from ..query.streams import decode_cursor
 from ..query.structured import is_tag_name
 from ..storage.btree import BTree, _decode_internal, _decode_leaf
 from ..storage.deweycodec import CODECS
@@ -415,19 +416,41 @@ def check_index_agreement(
 
 def _default_queries(engine) -> List[List[str]]:
     """Sampled keyword sets: frequent singletons plus co-occurring pairs."""
-    if engine.builder is None:
-        return []
-    postings = engine.builder.direct_postings
-    frequent = sorted(postings, key=lambda k: (-len(postings[k]), k))[:4]
+    frequencies = engine.keyword_frequencies()
+    frequent = sorted(frequencies, key=lambda k: (-frequencies[k], k))[:4]
     queries: List[List[str]] = [[keyword] for keyword in frequent]
     # Pairs that co-occur in at least one document (conjunctive queries
     # over disjoint keyword sets would just compare empty answers).
+    docs = {
+        keyword: {dewey.doc_id for dewey in _stored_deweys(engine, keyword)}
+        for keyword in frequent
+    }
     for i, first in enumerate(frequent):
-        docs_first = {p.dewey.doc_id for p in postings[first]}
         for second in frequent[i + 1 :]:
-            if docs_first & {p.dewey.doc_id for p in postings[second]}:
+            if docs[first] & docs[second]:
                 queries.append([first, second])
     return queries
+
+
+#: The method that opens one keyword's stored posting list, per kind whose
+#: list records are postings.
+_POSTING_LISTS = (
+    ("dil", "cursor"),
+    ("dil-incremental", "cursor"),
+    ("hdil", "full_cursor"),
+    ("rdil", "ranked_cursor"),
+)
+
+
+def _stored_deweys(engine, keyword: str) -> List[DeweyId]:
+    """The Dewey IDs of one keyword's list, decoded from the first built
+    kind that stores postings (an incremental delta included)."""
+    for kind, opener in _POSTING_LISTS:
+        index = engine._indexes.get(kind)
+        if index is not None:
+            cursor = getattr(index, opener)(keyword)
+            return [posting.dewey for posting in decode_cursor(cursor)]
+    return []
 
 
 # -- ElemRank ---------------------------------------------------------------------
@@ -466,8 +489,8 @@ def check_parallel_build(
 
     Builds the given ``(uri, source)`` corpus once sequentially and once
     per worker count through the sharded pipeline, then requires identical
-    posting maps (encoded bytes and keyword order), ElemRank tables, and
-    top-10 probe-query results.  A divergence means the shard merge lost
+    index pages for every built kind, ElemRank tables, and top-10
+    probe-query results.  A divergence means the shard merge lost
     its determinism — the exact regression this gate exists to catch.
     """
     from ..build.verify import compare_engines, default_probe_queries
@@ -514,10 +537,8 @@ def check_engine(
     violations.extend(check_index_agreement(engine, queries=queries, m=m))
     # After the agreement queries, so the pools hold probe frames.
     violations.extend(check_frames(engine))
-    if engine.builder is not None and engine.builder.direct_postings:
-        postings = engine.builder.direct_postings
-        longest = max(postings, key=lambda k: len(postings[k]))
-        violations.extend(
-            check_dewey_codecs([p.dewey for p in postings[longest]])
-        )
+    frequencies = engine.keyword_frequencies()
+    if frequencies:
+        longest = min(frequencies, key=lambda k: (-frequencies[k], k))
+        violations.extend(check_dewey_codecs(_stored_deweys(engine, longest)))
     return violations

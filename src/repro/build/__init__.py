@@ -26,7 +26,7 @@ from .pipeline import (
     extract_all_raw_postings,
 )
 from .shard import DocumentSpec, parse_spec, shard_specs, specs_from
-from .verify import compare_engines, compare_postings
+from .verify import compare_engines, compare_pages
 
 __all__ = [
     "BuildStats",
@@ -34,7 +34,7 @@ __all__ = [
     "DocumentSpec",
     "build_corpus",
     "compare_engines",
-    "compare_postings",
+    "compare_pages",
     "extract_all_raw_postings",
     "parse_spec",
     "shard_specs",

@@ -25,7 +25,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import BuildError
 from ..xmlmodel.html import parse_html
@@ -117,13 +126,21 @@ def specs_from(
     return specs
 
 
-def parse_spec(spec: DocumentSpec) -> Document:
-    """Parse one spec under its own doc id and URI."""
+def parse_spec(
+    spec: DocumentSpec, word_table: Optional[Dict[str, str]] = None
+) -> Document:
+    """Parse one spec under its own doc id and URI.
+
+    ``word_table`` shares words across the documents parsed with it (see
+    :class:`~repro.text.tokenize.PositionCounter`).
+    """
     source = spec.source
     if source is None:
         source = Path(spec.path).read_text(encoding="utf-8", errors="replace")
     parse = parse_html if spec.is_html else parse_xml
-    return parse(source, doc_id=spec.doc_id, uri=spec.uri)
+    return parse(
+        source, doc_id=spec.doc_id, uri=spec.uri, word_table=word_table
+    )
 
 
 def shard_specs(

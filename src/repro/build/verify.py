@@ -1,11 +1,11 @@
 """Parallel/sequential identity verification.
 
 The parallel build's contract is *byte identity*: for any worker count,
-the posting map (down to its encoded bytes and keyword insertion order),
-the ElemRank vector, and the top-k results of probe queries must equal the
-sequential build's.  This module is the one place that contract is
-checked; the ``repro build --verify`` CLI flag, ``repro check --strict``,
-the build benchmark, and the property tests all call into it.
+every built index's pages, the ElemRank vector, and the top-k results of
+probe queries must equal the sequential build's.  This module is the one
+place that contract is checked; the ``repro build --verify`` CLI flag,
+``repro check --strict``, the build benchmark, and the property tests all
+call into it.
 """
 
 from __future__ import annotations
@@ -13,48 +13,35 @@ from __future__ import annotations
 from typing import List, Sequence
 
 
-def compare_postings(sequential, parallel, limit: int = 5) -> List[str]:
-    """Differences between two posting maps; empty means byte-identical.
+def compare_pages(
+    sequential_engine, parallel_engine, limit: int = 5
+) -> List[str]:
+    """Differences between two engines' index pages; empty means identical.
 
-    Compares keyword insertion order (index layouts depend on it), then
-    each keyword's encoded posting bytes — encoding covers Dewey ID, the
-    float32 rank and the delta-coded position list, so byte equality here
-    is byte equality of everything the indexes bulk-load.
+    Compares the built kinds, then each kind's simulated disk page by page.
+    List pages hold every posting's Dewey ID, float32 rank and delta-coded
+    position list in keyword order, and tree pages their keys, so equal
+    pages are equal bytes for everything a query reads.
     """
+    seq_kinds = sorted(sequential_engine._indexes)
+    par_kinds = sorted(parallel_engine._indexes)
+    if seq_kinds != par_kinds:
+        return [f"built kinds differ: {seq_kinds} vs {par_kinds}"]
     problems: List[str] = []
-    seq_keys = list(sequential)
-    par_keys = list(parallel)
-    if seq_keys != par_keys:
-        missing = [k for k in seq_keys if k not in parallel]
-        extra = [k for k in par_keys if k not in sequential]
-        if missing or extra:
+    for kind in seq_kinds:
+        seq_disk = sequential_engine.index(kind).disk
+        par_disk = parallel_engine.index(kind).disk
+        if len(seq_disk.pages) != len(par_disk.pages):
             problems.append(
-                f"keyword sets differ: {len(missing)} missing "
-                f"(e.g. {missing[:3]}), {len(extra)} extra (e.g. {extra[:3]})"
+                f"{kind}: {len(seq_disk.pages)} vs {len(par_disk.pages)} pages"
             )
         else:
-            first = next(
-                (i for i, (a, b) in enumerate(zip(seq_keys, par_keys)) if a != b),
-                -1,
-            )
-            problems.append(
-                "keyword insertion order differs starting at position "
-                f"{first}: {seq_keys[first]!r} vs {par_keys[first]!r}"
-            )
-        return problems
-    for keyword in seq_keys:
-        seq_list = sequential[keyword]
-        par_list = parallel[keyword]
-        if len(seq_list) != len(par_list):
-            problems.append(
-                f"{keyword!r}: {len(seq_list)} vs {len(par_list)} postings"
-            )
-        else:
-            for position, (a, b) in enumerate(zip(seq_list, par_list)):
-                if a.encode() != b.encode():
+            pairs = zip(seq_disk.pages, par_disk.pages)
+            for page_id, (a, b) in enumerate(pairs):
+                if a != b:
+                    owner = seq_disk.owner_of(page_id) or "unowned"
                     problems.append(
-                        f"{keyword!r}: posting {position} differs "
-                        f"({a.dewey} vs {b.dewey})"
+                        f"{kind}: page {page_id} ({owner}) differs"
                     )
                     break
         if len(problems) >= limit:
@@ -112,10 +99,7 @@ def compare_engines(
     m: int = 10,
 ) -> List[str]:
     """The full identity battery; empty result means identical builds."""
-    problems = compare_postings(
-        sequential_engine.builder.direct_postings,
-        parallel_engine.builder.direct_postings,
-    )
+    problems = compare_pages(sequential_engine, parallel_engine)
     problems.extend(compare_elemranks(sequential_engine, parallel_engine))
     if queries:
         problems.extend(
@@ -127,12 +111,10 @@ def compare_engines(
 
 
 def default_probe_queries(engine, count: int = 3) -> List[str]:
-    """A few single-keyword probe queries drawn from the built postings."""
-    builder = engine.builder
-    if builder is None or not builder.direct_postings:
-        return []
+    """A few single-keyword probe queries: the keywords with the longest
+    lists."""
+    frequencies = engine.keyword_frequencies()
     by_frequency = sorted(
-        builder.direct_postings,
-        key=lambda keyword: (-len(builder.direct_postings[keyword]), keyword),
+        frequencies, key=lambda keyword: (-frequencies[keyword], keyword)
     )
     return by_frequency[:count]

@@ -72,6 +72,9 @@ def process_shard(task: ShardTask) -> ShardResult:
         raise BuildError(f"injected failure in shard {task.shard_id}")
 
     result = ShardResult(shard_id=task.shard_id)
+    # The shard's documents share one string per distinct word; the table
+    # lives as long as this shard's parse.
+    word_table: Dict[str, str] = {}
     writer: Optional[RunWriter] = None
     if task.spill_dir is not None:
         run_path = Path(task.spill_dir) / f"shard-{task.shard_id:04d}.run"
@@ -81,7 +84,7 @@ def process_shard(task: ShardTask) -> ShardResult:
         for spec in task.specs:
             started = time.perf_counter()
             try:
-                document = parse_spec(spec)
+                document = parse_spec(spec, word_table)
             except XMLParseError as exc:
                 label = spec.uri or spec.path or f"doc {spec.doc_id}"
                 if task.on_parse_error == "skip":

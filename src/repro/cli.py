@@ -315,9 +315,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _first_indexed_keyword(engine: XRankEngine) -> str:
     """Any indexed keyword (the --check smoke query for arbitrary corpora)."""
-    if engine.builder is not None and engine.builder.direct_postings:
-        return next(iter(sorted(engine.builder.direct_postings)))
-    return ""
+    return min(engine.keyword_frequencies(), default="")
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -82,7 +82,9 @@ class LocalCluster:
         # 2. Parse each spec once, run the global-statistics exchange over
         #    the full corpus, and drop the full graph: only its documents
         #    live on, handed to their shards (a graph never mutates them).
-        documents = [parse_spec(spec) for spec in self.specs]
+        #    The documents share one string per distinct word.
+        word_table: Dict[str, str] = {}
+        documents = [parse_spec(spec, word_table) for spec in self.specs]
         self.stats: GlobalStats = compute_global_stats(
             build_full_graph(documents), config
         )

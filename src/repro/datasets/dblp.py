@@ -150,7 +150,12 @@ def generate_dblp(
     graph = CollectionGraph()
     documents: List[Document] = []
     for i, source in enumerate(sources):
-        document = parse_xml(source, doc_id=start_doc_id + i, uri=f"paper{i}")
+        document = parse_xml(
+            source,
+            doc_id=start_doc_id + i,
+            uri=f"paper{i}",
+            word_table=graph.word_table,
+        )
         documents.append(document)
         graph.add_document(document)
     graph.finalize()

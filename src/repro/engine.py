@@ -156,7 +156,9 @@ class XRankEngine:
     def add_xml(self, source: str, uri: str = "") -> int:
         """Parse and register an XML document; returns its document id."""
         doc_id = self._take_doc_id()
-        document = parse_xml(source, doc_id=doc_id, uri=uri)
+        document = parse_xml(
+            source, doc_id=doc_id, uri=uri, word_table=self.graph.word_table
+        )
         self.graph.add_document(document)
         self._invalidate()
         return doc_id
@@ -164,7 +166,9 @@ class XRankEngine:
     def add_html(self, source: str, uri: str = "") -> int:
         """Parse and register an HTML document (flattened, root-only)."""
         doc_id = self._take_doc_id()
-        document = parse_html(source, doc_id=doc_id, uri=uri)
+        document = parse_html(
+            source, doc_id=doc_id, uri=uri, word_table=self.graph.word_table
+        )
         self.graph.add_document(document)
         self._invalidate()
         return doc_id
@@ -202,7 +206,9 @@ class XRankEngine:
         """
         self._require_built("dil-incremental")
         doc_id = self._take_doc_id()
-        document = parse_xml(source, doc_id=doc_id, uri=uri)
+        document = parse_xml(
+            source, doc_id=doc_id, uri=uri, word_table=self.graph.word_table
+        )
         self.graph.add_document(document)
         self.graph.finalize()
         self._indexes["dil-incremental"].add_documents(
@@ -329,6 +335,9 @@ class XRankEngine:
         self._evaluators = {}
         for kind in kinds:
             self._build_kind(kind)
+        # Queries read the indexes; the posting map they were written from
+        # is not kept (DESIGN.md, "What a built engine keeps").
+        self.builder.release_postings()
         self.generation += 1
 
     def _ingest_corpus(
@@ -661,6 +670,12 @@ class XRankEngine:
         state["_evaluators"] = {}
         return state
 
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if self.builder is not None:
+            # Snapshots written before the release still carry the map.
+            self.builder.release_postings()
+
     def save(self, path) -> None:
         """Persist the whole engine (documents, graph, indexes) to a file.
 
@@ -726,5 +741,19 @@ class XRankEngine:
             info["hyperlink_edges"] = len(self.graph.hyperlink_edges)
         if self.builder is not None:
             info["elemrank_iterations"] = self.builder.elemrank_result.iterations
-            info["keywords"] = len(self.builder.direct_postings)
+            info["keywords"] = len(self.keyword_frequencies())
         return info
+
+    def keyword_frequencies(self) -> Dict[str, int]:
+        """Every indexed keyword with the length of its longest list.
+
+        Read from the built indexes, an incremental delta included, so a
+        keyword added after the build counts too.
+        """
+        frequencies: Dict[str, int] = {}
+        for index in self._indexes.values():
+            for keyword in index.keywords():
+                frequencies[keyword] = max(
+                    frequencies.get(keyword, 0), index.list_length(keyword)
+                )
+        return frequencies

@@ -170,6 +170,15 @@ class IndexBuilder:
             scorer=scorer,
         )
 
+    def release_postings(self) -> None:
+        """Drop the scored posting map once every wanted index is built.
+
+        The map is a build intermediate: an engine keeps its indexes and
+        the ElemRanks, not a second copy of the lists they were written
+        from.  The per-flavour builders need the map, so call this last.
+        """
+        self.__dict__.pop("direct_postings", None)
+
     # -- per-flavour builders -------------------------------------------------------
 
     def build_dil(self) -> DILIndex:

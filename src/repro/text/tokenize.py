@@ -14,7 +14,7 @@ a 2003-era search engine would do:
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 # Word = letters/digits (Unicode-aware, underscore excluded), optionally one
 # apostrophe-joined suffix ("don't").
@@ -67,12 +67,22 @@ class PositionCounter:
     The parser threads one counter through a whole document so that word
     positions are comparable across elements — the property the
     smallest-window proximity measure relies on.
+
+    Each word is stored as the one string object ``word_table`` holds for
+    it, so equal words of every document parsed with one table are one
+    object.  A graph keeps a table for the documents added to it and a
+    build shard one for the documents it parses (see DESIGN.md, "What a
+    built engine keeps"); without a table, words are shared within the
+    document.
     """
 
-    __slots__ = ("_next",)
+    __slots__ = ("_next", "_words")
 
-    def __init__(self, start: int = 0):
+    def __init__(
+        self, start: int = 0, word_table: Optional[Dict[str, str]] = None
+    ):
         self._next = start
+        self._words = {} if word_table is None else word_table
 
     @property
     def position(self) -> int:
@@ -85,6 +95,9 @@ class PositionCounter:
         return first
 
     def assign(self, tokens: Sequence[str]) -> List[Tuple[str, int]]:
-        """Pair each token with the next global position."""
+        """Pair each token, as its shared word, with the next position."""
         first = self.take(len(tokens))
-        return [(token, first + i) for i, token in enumerate(tokens)]
+        share = self._words.setdefault
+        return [
+            (share(token, token), first + i) for i, token in enumerate(tokens)
+        ]

@@ -68,6 +68,12 @@ class CollectionGraph:
         self.hyperlink_edges: List[Tuple[int, int]] = []
         self.out_hyperlink_count: List[int] = []   # N_h(u)
         self.resolution = LinkResolution()
+        #: One string per distinct word of the documents parsed for this
+        #: graph (see ``PositionCounter``): the engine's ``add_xml`` and
+        #: ``add_html`` parse with it.  Not pickled: pickle already keeps
+        #: the loaded documents' words shared, and an unpickled graph
+        #: starts an empty table for the documents added after the load.
+        self.word_table: Dict[str, str] = {}
         self._reset_append_state()
 
     def _reset_append_state(self) -> None:
@@ -88,10 +94,12 @@ class CollectionGraph:
         state = dict(self.__dict__)
         for name in _APPEND_STATE:
             del state[name]
+        del state["word_table"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.word_table = {}
         self._reset_append_state()
 
     # -- population --------------------------------------------------------------

@@ -19,7 +19,7 @@ This module parses tag soup with the lenient tokenizer and flattens it:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
 from ..text.tokenize import PositionCounter, words
 from .dewey import DeweyId
@@ -33,9 +33,19 @@ _SKIP_CONTENT = frozenset({"script", "style"})
 class HTMLParser:
     """Parses one HTML document string into a flat :class:`Document`."""
 
-    def parse(self, source: str, doc_id: int, uri: str = "") -> Document:
-        """Parse one HTML string into a flat single-element document."""
-        positions = PositionCounter()
+    def parse(
+        self,
+        source: str,
+        doc_id: int,
+        uri: str = "",
+        word_table: Optional[Dict[str, str]] = None,
+    ) -> Document:
+        """Parse one HTML string into a flat single-element document.
+
+        ``word_table`` shares the document's words with every other
+        document parsed with it (see :class:`PositionCounter`).
+        """
+        positions = PositionCounter(0, word_table)
         root = Element("html", DeweyId.root(doc_id))
         next_child = 0
         skip_depth = 0
@@ -80,6 +90,11 @@ class HTMLParser:
         )
 
 
-def parse_html(source: str, doc_id: int = 0, uri: str = "") -> Document:
+def parse_html(
+    source: str,
+    doc_id: int = 0,
+    uri: str = "",
+    word_table: Optional[Dict[str, str]] = None,
+) -> Document:
     """Convenience wrapper: parse one HTML string into a flat document."""
-    return HTMLParser().parse(source, doc_id, uri)
+    return HTMLParser().parse(source, doc_id, uri, word_table)

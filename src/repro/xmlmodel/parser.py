@@ -22,7 +22,7 @@ the paper's index builder depends on:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import XMLParseError
 from ..text.tokenize import PositionCounter, words
@@ -57,15 +57,30 @@ class XMLParser:
         self.index_tag_names = index_tag_names
         self.keep_whitespace_values = keep_whitespace_values
 
-    def parse(self, source: str, doc_id: int, uri: str = "") -> Document:
-        """Parse ``source`` and return a Dewey-numbered document."""
+    def parse(
+        self,
+        source: str,
+        doc_id: int,
+        uri: str = "",
+        word_table: Optional[Dict[str, str]] = None,
+    ) -> Document:
+        """Parse ``source`` and return a Dewey-numbered document.
+
+        ``word_table`` shares the document's words with every other
+        document parsed with it (see :class:`PositionCounter`).
+        """
         tokens = list(Tokenizer(source).tokens())
-        return self._build(tokens, doc_id, uri)
+        return self._build(tokens, doc_id, uri, PositionCounter(0, word_table))
 
     # -- tree construction ------------------------------------------------------
 
-    def _build(self, tokens: List[Token], doc_id: int, uri: str) -> Document:
-        positions = PositionCounter()
+    def _build(
+        self,
+        tokens: List[Token],
+        doc_id: int,
+        uri: str,
+        positions: PositionCounter,
+    ) -> Document:
         root: Optional[Element] = None
         stack: List[Element] = []
         # Per-open-element counter of the next sibling position.
@@ -168,7 +183,8 @@ def parse_xml(
     doc_id: int = 0,
     uri: str = "",
     index_tag_names: bool = True,
+    word_table: Optional[Dict[str, str]] = None,
 ) -> Document:
     """Convenience wrapper: parse one XML string into a :class:`Document`."""
     parser = XMLParser(index_tag_names=index_tag_names)
-    return parser.parse(source, doc_id, uri)
+    return parser.parse(source, doc_id, uri, word_table)

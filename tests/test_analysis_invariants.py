@@ -254,8 +254,7 @@ def test_hdil_ranked_head_order_violation_detected(engine):
 
 
 def test_codecs_round_trip_engine_ids(engine):
-    postings = engine.builder.direct_postings
-    ids = [p.dewey for p in postings["language"]]
+    ids = [posting.dewey for posting in engine.index("dil").scan("language")]
     assert check_dewey_codecs(ids) == []
 
 

@@ -1,10 +1,10 @@
 """Tests for the parallel sharded build pipeline (repro.build).
 
 The contract under test is *byte identity*: for any shard count and any
-worker count, the parallel pipeline must produce exactly the posting map
-(keyword insertion order included), ElemRank vector and search results of
-the sequential build.  Alongside identity: LPT shard balancing, the spill
-path, worker-crash containment, and parse-error policy.
+worker count, the parallel pipeline must produce exactly the index pages,
+ElemRank vector and search results of the sequential build.  Alongside
+identity: LPT shard balancing, the spill path, worker-crash containment,
+and parse-error policy.
 """
 
 from __future__ import annotations
@@ -152,6 +152,41 @@ class TestParallelIdentity:
         assert list(reference) == list(parallel)
         assert reference == parallel
         assert stats.workers == 2
+
+
+class TestIdentityGate:
+    """``compare_engines`` reports a difference in any built page."""
+
+    def test_flipped_byte_in_one_list_page(self):
+        reference, damaged = _engine(workers=1), _engine(workers=1)
+        assert compare_engines(reference, damaged) == []
+        disk = damaged.index("hdil").disk
+        page_id = next(
+            page_id
+            for page_id in range(disk.num_pages)
+            if disk.owner_of(page_id).startswith("hdil:")
+        )
+        page = bytearray(disk.pages[page_id])
+        page[len(page) // 2] ^= 0x01
+        disk.pages[page_id] = bytes(page)
+        assert compare_engines(reference, damaged) == [
+            f"hdil: page {page_id} ({disk.owner_of(page_id)}) differs"
+        ]
+
+    def test_shard_merge_that_swaps_two_documents(self, monkeypatch):
+        from repro.build import merge
+
+        reference = _engine(workers=1)
+        in_order = merge.merge_block_streams
+
+        def swapped(streams):
+            blocks = list(in_order(streams))
+            blocks[0], blocks[1] = blocks[1], blocks[0]
+            return iter(blocks)
+
+        monkeypatch.setattr(merge, "merge_block_streams", swapped)
+        problems = compare_engines(reference, _engine(workers=2))
+        assert problems and problems[0].startswith("hdil: page")
 
 
 class TestFaults:

@@ -163,9 +163,9 @@ class TestIngestion:
     def test_cluster_parses_each_spec_once(self, monkeypatch):
         calls = []
 
-        def counting_parse_spec(spec):
+        def counting_parse_spec(spec, word_table=None):
             calls.append(spec.doc_id)
-            return parse_spec(spec)
+            return parse_spec(spec, word_table)
 
         monkeypatch.setattr(
             "repro.cluster.local.parse_spec", counting_parse_spec
