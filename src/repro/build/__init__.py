@@ -13,18 +13,15 @@ half of that pipeline across worker processes:
   *once* over the merged graph before attaching scores and bulk-loading
   the usual DIL/RDIL/HDIL structures.
 
+Only sources are sharded: a document that arrives already parsed is
+extracted in-process by :class:`~repro.index.builder.IndexBuilder`.
 Because shard outputs are order-independent and the merge is associative,
 ``build(workers=k)`` is byte-identical to the sequential build for every
 ``k`` — verified by :mod:`repro.build.verify` and gated in
 ``repro check --strict``.
 """
 
-from .pipeline import (
-    BuildStats,
-    CorpusBuildResult,
-    build_corpus,
-    extract_all_raw_postings,
-)
+from .pipeline import BuildStats, CorpusBuildResult, build_corpus
 from .shard import DocumentSpec, parse_spec, shard_specs, specs_from
 from .verify import compare_engines, compare_pages
 
@@ -35,7 +32,6 @@ __all__ = [
     "build_corpus",
     "compare_engines",
     "compare_pages",
-    "extract_all_raw_postings",
     "parse_spec",
     "shard_specs",
     "specs_from",

@@ -1,16 +1,18 @@
 """Deterministic k-way merge of shard outputs into one posting map.
 
 Each shard yields a stream of ``(doc_id, raw postings)`` blocks in
-ascending doc-id order — from memory for small shards, from a spilled run
-file otherwise.  Shards partition the document space, so a heap over the
+ascending doc-id order — from memory, or from a spilled run file when the
+build spills.  Shards partition the document space, so a heap over the
 head block of every stream enumerates the whole corpus in ascending doc-id
 order; folding the blocks in that order reproduces, key for key and entry
 for entry, what one sequential pass over the collection produces.
 
-The fold is associative (list concatenation per keyword, first-occurrence
-keyword order) and the enumeration order is a pure function of the doc-id
-partition, so the merged map — and everything bulk-loaded from it — is
-byte-identical no matter how many shards or which worker finished first.
+The fold is :func:`~repro.index.postings.merge_raw_postings`, the one the
+sequential build uses: list concatenation per keyword, first-occurrence
+keyword order, in the order the heap yields.  That order is a pure
+function of the doc-id partition, so the merged map — and everything
+bulk-loaded from it — is byte-identical no matter how many shards or which
+worker finished first.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, List, Tuple
 
-from ..index.postings import RawPostingMap
+from ..index.postings import RawPostingMap, merge_raw_postings
 from ..storage.runfile import RunReader
 from .worker import ShardResult
 
@@ -49,20 +51,9 @@ def merge_block_streams(
             heapq.heappush(heap, (head[0], index, head[1]))
 
 
-def fold_blocks(
-    blocks: Iterable[Tuple[int, RawPostingMap]]
-) -> RawPostingMap:
-    """Fold document blocks (already in ascending doc order) into one map."""
-    merged: RawPostingMap = {}
-    for _doc_id, raw in blocks:
-        for keyword, entries in raw.items():
-            merged.setdefault(keyword, []).extend(entries)
-    return merged
-
-
 def merge_shard_results(results: List[ShardResult]) -> RawPostingMap:
     """The full deterministic merge: streams → global order → one map."""
     ordered = sorted(results, key=lambda result: result.shard_id)
-    return fold_blocks(
+    return merge_raw_postings(
         merge_block_streams(shard_block_stream(result) for result in ordered)
     )

@@ -2,17 +2,16 @@
 
 :func:`build_corpus` is the parse-from-source pipeline (used by
 ``engine.build(corpus=..., workers=N)``, the ``repro build`` CLI and the
-build benchmark); :func:`extract_all_raw_postings` is the extraction-only
-variant for documents the engine has already parsed in-process.  Both run
-the exact same per-document code the sequential build runs — ``workers=1``
-simply executes the single shard inline, with no pool — so every worker
-count folds to byte-identical output.
+build benchmark).  It runs the exact same per-document code the
+sequential build runs — ``workers=1`` simply executes the single shard
+inline, with no pool — so every worker count folds to byte-identical
+output.  Documents that are already parsed never come here: the engine
+extracts them in-process.
 
 Process management notes:
 
-* the start method prefers ``fork`` (cheap on Linux; lets extraction-only
-  workers inherit parsed documents copy-on-write instead of pickling them
-  through the task pipe) and falls back to ``spawn`` elsewhere;
+* the start method prefers ``fork`` where the platform has it and falls
+  back to ``spawn`` elsewhere;
 * a worker that raises, a worker that *dies* (OOM-kill, segfault — breaks
   the pool), and a spilled run file that fails its checksum scan are all
   handled per shard: the shard is retried up to :data:`MAX_SHARD_ATTEMPTS`
@@ -22,7 +21,7 @@ Process management notes:
   pipeline never leaves the caller hanging on a dead pool;
 * injected faults (:mod:`repro.faults`) are decided in the *parent* —
   plan state is not shared with worker processes — and delivered through
-  the tasks' ``fault`` hook; spilled run files are corrupted parent-side
+  the task's ``fault`` hook; spilled run files are corrupted parent-side
   after the worker returns;
 * spilled run files live in a private temporary directory under the
   caller's ``spill_dir`` and are removed once merged; each is checksum-
@@ -52,12 +51,9 @@ from .shard import DocumentSpec, shard_specs
 from .worker import (
     FAULT_CRASH,
     FAULT_RAISE,
-    ExtractTask,
     ShardResult,
     ShardTask,
-    process_extract_shard,
     process_shard,
-    set_inherited_documents,
 )
 
 #: Attempts per shard (initial + retries) before the build gives up.
@@ -107,15 +103,12 @@ class CorpusBuildResult:
     stats: BuildStats = field(default_factory=BuildStats)
 
 
-def _mp_context(name: Optional[str] = None):
+def _mp_context():
     """The preferred multiprocessing context (fork where available)."""
-    if name is None:
-        name = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-    return multiprocessing.get_context(name)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
 
 
 def _corrupt_run_file(path: str, plan: FaultPlan) -> None:
@@ -146,10 +139,8 @@ def _post_process_shard(
 
 
 def _execute_shards(
-    tasks,
-    worker_fn,
+    tasks: List[ShardTask],
     workers: int,
-    context,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Tuple[List[ShardResult], int]:
     """Run shard tasks with per-shard retries; fail cleanly, never hang.
@@ -162,7 +153,6 @@ def _execute_shards(
     results ordered by shard id plus the number of retries spent.
     """
     inline = workers == 1
-    original_fault = {task.shard_id: task.fault for task in tasks}
     pending = {task.shard_id: task for task in tasks}
     attempts = {task.shard_id: 0 for task in tasks}
     results: Dict[int, ShardResult] = {}
@@ -170,11 +160,9 @@ def _execute_shards(
     while pending:
         for shard_id in sorted(pending):
             task = pending[shard_id]
-            task.fault = original_fault[shard_id]
-            if (
-                task.fault is None
-                and fault_plan is not None
-                and fault_plan.should_fire(SITE_WORKER_CRASH)
+            task.fault = None
+            if fault_plan is not None and fault_plan.should_fire(
+                SITE_WORKER_CRASH
             ):
                 # Inline shards must not os._exit the caller's process, so
                 # the injected "crash" degrades to a raise there.
@@ -183,7 +171,7 @@ def _execute_shards(
         if inline:
             for shard_id in sorted(pending):
                 try:
-                    result = worker_fn(pending[shard_id])
+                    result = process_shard(pending[shard_id])
                     _post_process_shard(result, fault_plan)
                 except (BuildError, CorruptRunError) as exc:
                     failures[shard_id] = str(exc)
@@ -192,10 +180,11 @@ def _execute_shards(
         else:
             ordered = [pending[shard_id] for shard_id in sorted(pending)]
             with ProcessPoolExecutor(
-                max_workers=min(workers, len(ordered)), mp_context=context
+                max_workers=min(workers, len(ordered)),
+                mp_context=_mp_context(),
             ) as executor:
                 futures = [
-                    (task, executor.submit(worker_fn, task))
+                    (task, executor.submit(process_shard, task))
                     for task in ordered
                 ]
                 for task, future in futures:
@@ -232,8 +221,6 @@ def build_corpus(
     workers: int = 1,
     spill_dir: Optional[Union[str, Path]] = None,
     on_parse_error: str = "raise",
-    mp_start_method: Optional[str] = None,
-    _fault: Optional[Tuple[int, str]] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> CorpusBuildResult:
     """Parse + tokenize + extract a corpus, sharded over worker processes.
@@ -242,13 +229,14 @@ def build_corpus(
         specs: documents with pre-assigned doc ids (see
             :func:`~repro.build.shard.specs_from`).
         workers: process count; ``1`` runs the single shard inline.
-        spill_dir: when set, workers stream posting skeletons into run
-            files under a private temp dir here instead of returning them
-            through the pipe (bounded memory; see repro.storage.runfile).
+        spill_dir: when set, workers stream posting skeletons into
+            CRC-checked run files under a private temp dir here instead of
+            returning them through the result pipe (see
+            repro.storage.runfile).  Spilling does not bound memory: the
+            parsed documents still come back through the pipe, and the
+            merge folds every skeleton into one map.
         on_parse_error: ``"raise"`` (default) or ``"skip"`` (collect the
             failures, like ``repro index``).
-        mp_start_method: override the multiprocessing start method.
-        _fault: test hook — ``(shard_id, mode)`` injected into that shard.
         fault_plan: seeded :class:`~repro.faults.FaultPlan` driving worker
             crashes and run-file corruption (chaos harness / tests).
     """
@@ -275,20 +263,11 @@ def build_corpus(
                 specs=shard,
                 spill_dir=run_dir,
                 on_parse_error=on_parse_error,
-                fault=(
-                    _fault[1]
-                    if _fault is not None and _fault[0] == shard_id
-                    else None
-                ),
             )
             for shard_id, shard in enumerate(shards)
         ]
         shard_results, result.stats.retries = _execute_shards(
-            tasks,
-            process_shard,
-            workers,
-            None if workers == 1 else _mp_context(mp_start_method),
-            fault_plan,
+            tasks, workers, fault_plan
         )
 
         merge_started = time.perf_counter()
@@ -309,82 +288,3 @@ def build_corpus(
             shutil.rmtree(run_dir, ignore_errors=True)
     result.stats.elapsed_seconds = time.perf_counter() - started
     return result
-
-
-def extract_all_raw_postings(
-    documents: Sequence[Document],
-    workers: int = 1,
-    spill_dir: Optional[Union[str, Path]] = None,
-    mp_start_method: Optional[str] = None,
-    _fault: Optional[Tuple[int, str]] = None,
-    fault_plan: Optional[FaultPlan] = None,
-) -> Tuple[RawPostingMap, BuildStats]:
-    """Posting skeletons for already-parsed documents, sharded by doc id.
-
-    Under a fork start method the workers inherit the parsed trees
-    copy-on-write; under spawn each task carries its documents explicitly.
-    ``workers=1`` extracts inline (the sequential fallback).  ``fault_plan``
-    injects worker crashes / run corruption exactly as in ``build_corpus``.
-    """
-    if workers < 1:
-        raise BuildError(f"workers must be >= 1, got {workers}")
-    started = time.perf_counter()
-    stats = BuildStats(workers=workers)
-    ordered = sorted(documents, key=lambda document: document.doc_id)
-    if not ordered:
-        return {}, stats
-
-    run_dir: Optional[str] = None
-    if spill_dir is not None:
-        Path(spill_dir).mkdir(parents=True, exist_ok=True)
-        run_dir = tempfile.mkdtemp(prefix="build-runs-", dir=str(spill_dir))
-    try:
-        # Reuse the LPT planner with word counts as the cost proxy.
-        plan = shard_specs(
-            ordered, workers, cost=lambda document: max(document.word_count, 1)
-        )
-        by_id = {document.doc_id: document for document in ordered}
-        stats.shards = len(plan)
-
-        context = _mp_context(mp_start_method)
-        use_fork_table = workers > 1 and context.get_start_method() == "fork"
-        tasks = [
-            ExtractTask(
-                shard_id=shard_id,
-                doc_ids=[document.doc_id for document in shard],
-                documents=(
-                    None if use_fork_table or workers == 1 else shard
-                ),
-                spill_dir=run_dir,
-                fault=(
-                    _fault[1]
-                    if _fault is not None and _fault[0] == shard_id
-                    else None
-                ),
-            )
-            for shard_id, shard in enumerate(plan)
-        ]
-        share_table = workers == 1 or use_fork_table
-        if share_table:
-            set_inherited_documents(by_id)
-        try:
-            shard_results, stats.retries = _execute_shards(
-                tasks, process_extract_shard, workers, context, fault_plan
-            )
-        finally:
-            if share_table:
-                set_inherited_documents(None)
-
-        merge_started = time.perf_counter()
-        merged = merge_shard_results(shard_results)
-        stats.merge_seconds = time.perf_counter() - merge_started
-        for shard_result in shard_results:
-            stats.extract_seconds += shard_result.extract_seconds
-            stats.spilled_bytes += shard_result.spilled_bytes
-        stats.documents = len(ordered)
-        stats.keywords = len(merged)
-    finally:
-        if run_dir is not None:
-            shutil.rmtree(run_dir, ignore_errors=True)
-    stats.elapsed_seconds = time.perf_counter() - started
-    return merged, stats

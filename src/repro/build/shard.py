@@ -25,16 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import BuildError
 from ..xmlmodel.html import parse_html
@@ -144,10 +135,8 @@ def parse_spec(
 
 
 def shard_specs(
-    specs: Sequence,
-    num_shards: int,
-    cost: Callable[[object], int] = DocumentSpec.cost_estimate,
-) -> List[List]:
+    specs: Sequence[DocumentSpec], num_shards: int
+) -> List[List[DocumentSpec]]:
     """Partition specs into ``num_shards`` balanced, deterministic shards.
 
     LPT greedy: place each document, largest first, on the currently
@@ -155,24 +144,23 @@ def shard_specs(
     total orders, so the plan is a pure function of the input).  Within a
     shard, specs are re-sorted by doc id so every worker processes — and
     spills — its documents in ascending doc-id order, the invariant the
-    k-way merge relies on.  Any items with a ``doc_id`` can be planned
-    when ``cost`` says what each one weighs (parsed documents, say).
+    k-way merge relies on.
     """
     if num_shards < 1:
         raise BuildError(f"num_shards must be >= 1, got {num_shards}")
     num_shards = min(num_shards, max(len(specs), 1))
-    shards: List[List] = [[] for _ in range(num_shards)]
+    shards: List[List[DocumentSpec]] = [[] for _ in range(num_shards)]
     if not specs:
         return shards
     by_size = sorted(
-        specs, key=lambda spec: (-cost(spec), spec.doc_id)
+        specs, key=lambda spec: (-spec.cost_estimate(), spec.doc_id)
     )
     heap = [(0, shard_index) for shard_index in range(num_shards)]
     heapq.heapify(heap)
     for spec in by_size:
         load, shard_index = heapq.heappop(heap)
         shards[shard_index].append(spec)
-        heapq.heappush(heap, (load + cost(spec), shard_index))
+        heapq.heappush(heap, (load + spec.cost_estimate(), shard_index))
     for shard in shards:
         shard.sort(key=lambda spec: spec.doc_id)
     return [shard for shard in shards if shard] or [[]]

@@ -27,8 +27,9 @@ from ..storage.runfile import RunWriter
 from ..xmlmodel.nodes import Document
 from .shard import DocumentSpec, parse_spec
 
-#: Fault-injection modes for tests: a worker that dies without cleanup
-#: ("crash", exercising the BrokenProcessPool path) or raises ("raise").
+#: Fault-injection modes a fault plan's worker-crash site delivers: a
+#: worker that dies without cleanup ("crash", exercising the
+#: BrokenProcessPool path) or raises ("raise").
 FAULT_CRASH = "crash"
 FAULT_RAISE = "raise"
 
@@ -98,74 +99,6 @@ def process_shard(task: ShardTask) -> ShardResult:
             result.extract_seconds += time.perf_counter() - parsed
             result.parse_seconds += parsed - started
             result.documents.append(document)
-            if writer is not None:
-                writer.append(document.doc_id, raw)
-            else:
-                result.raw_postings.append((document.doc_id, raw))
-    finally:
-        if writer is not None:
-            writer.close()
-            result.spilled_bytes = writer.bytes_written
-    return result
-
-
-# -- extraction-only tasks (documents already parsed in the parent) ---------------
-
-#: Documents inherited by fork()ed workers, keyed by doc id.  The parent
-#: sets this immediately before creating a fork-context pool; children see
-#: it copy-on-write, so nothing is pickled through the task pipe.
-_INHERITED_DOCUMENTS: Optional[Dict[int, Document]] = None
-
-
-def set_inherited_documents(documents: Optional[Dict[int, Document]]) -> None:
-    """Install (or clear) the fork-shared document table."""
-    global _INHERITED_DOCUMENTS
-    _INHERITED_DOCUMENTS = documents
-
-
-@dataclass
-class ExtractTask:
-    """Extraction-only shard: tokenized documents are already in memory.
-
-    ``documents`` is populated only under a spawn-style start method; with
-    fork the worker resolves ``doc_ids`` against the inherited table.
-    """
-
-    shard_id: int
-    doc_ids: List[int]
-    documents: Optional[List[Document]] = None
-    spill_dir: Optional[str] = None
-    fault: Optional[str] = None
-
-
-def process_extract_shard(task: ExtractTask) -> ShardResult:
-    """Extract posting skeletons for already-parsed documents."""
-    if task.fault == FAULT_CRASH:
-        os._exit(13)
-    if task.fault == FAULT_RAISE:
-        raise BuildError(f"injected failure in shard {task.shard_id}")
-    if task.documents is not None:
-        documents = task.documents
-    else:
-        table = _INHERITED_DOCUMENTS
-        if table is None:
-            raise BuildError(
-                f"shard {task.shard_id}: no documents supplied and no "
-                "fork-inherited table present"
-            )
-        documents = [table[doc_id] for doc_id in task.doc_ids]
-
-    result = ShardResult(shard_id=task.shard_id)
-    writer: Optional[RunWriter] = None
-    if task.spill_dir is not None:
-        run_path = Path(task.spill_dir) / f"shard-{task.shard_id:04d}.run"
-        writer = RunWriter(run_path)
-        result.run_path = str(run_path)
-    try:
-        for document in sorted(documents, key=lambda d: d.doc_id):
-            started = time.perf_counter()
-            raw = extract_document_raw_postings(document)
-            result.extract_seconds += time.perf_counter() - started
             if writer is not None:
                 writer.append(document.doc_id, raw)
             else:

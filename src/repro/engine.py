@@ -276,15 +276,21 @@ class XRankEngine:
                 numbered in order from the next free id.  A doc id
                 already in the engine, or repeated within ``corpus``,
                 raises :class:`QueryError` before anything is parsed.
-            workers: process count for the parallel build (repro.build).
-                ``1`` is the sequential fallback — same code path per
-                document, no pool — and any ``workers`` value produces
+            workers: process count for parsing ``corpus``'s sources
+                (repro.build).  ``1`` parses them inline — same code path
+                per document, no pool — and any ``workers`` value produces
                 byte-identical indexes (gated by ``repro check --strict``).
-            spill_dir: when set, workers spill partial posting runs to
-                files under this directory instead of returning them
-                in-memory (bounded peak RSS for corpora larger than RAM).
+                Documents that are already parsed are extracted
+                in-process at any worker count.
+            spill_dir: when set, workers ship their posting skeletons back
+                through CRC-checked run files under this directory instead
+                of the result pipe.  This does not bound memory: parsed
+                documents still come back through the pipe, and every
+                skeleton is folded into one map.
             on_parse_error: ``"raise"`` (default) or ``"skip"`` bad
-                documents when ingesting ``corpus``.
+                documents when ingesting ``corpus``.  A failed ingestion
+                leaves the engine's documents and built indexes as they
+                were.
             fault_plan: :class:`~repro.faults.FaultPlan` driving injected
                 worker crashes / run-file corruption during this build
                 (the pipeline retries per shard; see repro.build).
@@ -299,6 +305,8 @@ class XRankEngine:
             raise QueryError(f"unknown index kinds: {unknown}")
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
+        if on_parse_error not in ("raise", "skip"):
+            raise QueryError(f"unknown on_parse_error {on_parse_error!r}")
 
         raw_postings = None
         self.last_build_stats = None
@@ -309,18 +317,6 @@ class XRankEngine:
         if not self.graph.documents:
             raise QueryError("cannot build an index over zero documents")
         self.graph.finalize()
-        if workers > 1 and raw_postings is None:
-            # No unparsed corpus to shard: parallelize the extraction pass
-            # over the already-parsed documents instead.
-            from .build.pipeline import extract_all_raw_postings
-
-            raw_postings, stats = extract_all_raw_postings(
-                list(self.graph.documents.values()),
-                workers=workers,
-                spill_dir=spill_dir,
-                fault_plan=fault_plan,
-            )
-            self.last_build_stats = stats
         self.builder = IndexBuilder(
             self.graph,
             elemrank_params=self.config.elemrank,
@@ -345,8 +341,9 @@ class XRankEngine:
     ):
         """Add a corpus through the build pipeline; returns merged raw
         postings covering the *whole* graph, or None when they must be
-        re-extracted (the graph holds documents the pipeline did not
-        parse)."""
+        extracted in-process (the graph holds documents the pipeline did
+        not parse).  Sources are parsed before anything is added, so a
+        failed parse leaves the engine as it was."""
         from .build.pipeline import build_corpus
         from .build.shard import specs_from
 
@@ -369,19 +366,20 @@ class XRankEngine:
                 raise QueryError(f"corpus repeats document id {doc_id}")
             seen.add(doc_id)
 
+        result = None
+        if specs:
+            result = build_corpus(
+                specs,
+                workers=workers,
+                spill_dir=spill_dir,
+                on_parse_error=on_parse_error,
+                fault_plan=fault_plan,
+            )
         had_documents = bool(self.graph.documents)
         for document in parsed:
             self.add_document(document)
-        if not specs:
-            return None  # pre-parsed only: extraction covers everything later
-
-        result = build_corpus(
-            specs,
-            workers=workers,
-            spill_dir=spill_dir,
-            on_parse_error=on_parse_error,
-            fault_plan=fault_plan,
-        )
+        if result is None:
+            return None  # pre-parsed only: the builder extracts in-process
         for document in result.documents:
             self.graph.add_document(document)
             self._next_doc_id = max(self._next_doc_id, document.doc_id + 1)

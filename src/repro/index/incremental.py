@@ -92,7 +92,7 @@ def postings_for_documents(
     keyword (the same two phases as :func:`extract_direct_postings`)."""
     per_document = [
         (document.doc_id, extract_document_raw_postings(document))
-        for document in documents
+        for document in sorted(documents, key=lambda d: d.doc_id)
     ]
     return attach_scores(merge_raw_postings(per_document), scores)
 

@@ -16,7 +16,7 @@ apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import DeweyError, StorageError
 from ..storage.records import FLOAT32, put_uint_list, read_uint_list
@@ -131,17 +131,18 @@ def extract_document_raw_postings(document) -> RawPostingMap:
 
 
 def merge_raw_postings(
-    per_document: List[Tuple[int, RawPostingMap]]
+    blocks: Iterable[Tuple[int, RawPostingMap]]
 ) -> RawPostingMap:
-    """Fold per-document skeletons into one map, in ascending doc-id order.
+    """Fold ``(doc_id, skeletons)`` blocks into one map, in the order given.
 
-    Concatenation in ascending doc-id order reproduces exactly what a
-    single pass over the whole collection would produce (Dewey IDs of
-    different documents never interleave), so the merge is associative:
-    any shard partition folds to the same result.
+    Callers pass the blocks in ascending doc-id order; concatenation in
+    that order reproduces exactly what a single pass over the whole
+    collection would produce (Dewey IDs of different documents never
+    interleave), so any shard partition folds to the same result.  The
+    fold does not sort: a mis-ordered merge must show in the built pages.
     """
     merged: RawPostingMap = {}
-    for _doc_id, raw in sorted(per_document, key=lambda pair: pair[0]):
+    for _doc_id, raw in blocks:
         for word, entries in raw.items():
             merged.setdefault(word, []).extend(entries)
     return merged

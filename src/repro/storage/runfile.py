@@ -1,10 +1,11 @@
 """Spillable partial-posting run files for the parallel build (repro.build).
 
-A worker that has extracted posting skeletons for its shard can hold them
-in memory (small corpora) or *spill* them to a run file and ship only the
-file path back to the parent — the external-sort discipline that keeps
-peak memory bounded by one shard's working set instead of the whole
-corpus, and keeps the inter-process pipes small.
+A worker that has extracted posting skeletons for its shard can return
+them through the result pipe or *spill* them to a run file and ship only
+the file path back to the parent, which checksum-scans the file before
+the merge reads it.  Spilling keeps the skeletons out of the pipe; it
+does not bound memory, since the worker still returns its parsed
+documents and the parent folds every skeleton into one map.
 
 Format: a run file is a sequence of **document blocks**, written in
 ascending doc-id order (the order the worker processed its shard).  Each

@@ -16,18 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.build.merge import merge_shard_results
-from repro.build.pipeline import build_corpus, extract_all_raw_postings
+from repro.build.pipeline import build_corpus
 from repro.build.shard import DocumentSpec, shard_specs, specs_from
 from repro.build.verify import compare_engines, default_probe_queries
-from repro.build.worker import (
-    FAULT_CRASH,
-    FAULT_RAISE,
-    ShardTask,
-    process_shard,
-)
+from repro.build.worker import ShardTask, process_shard
 from repro.engine import XRankEngine
 from repro.cluster.verify import single_node_oracle
+from repro.datasets.dblp import generate_dblp
 from repro.errors import BuildError, QueryError
+from repro.faults import SITE_WORKER_CRASH, FaultPlan, FaultSpec
+from repro.xmlmodel.parser import parse_xml
 
 #: A small corpus with cross-document hyperlinks (ElemRank edges), shared
 #: keywords (multi-document posting lists) and varied sizes (LPT has
@@ -145,13 +143,29 @@ class TestParallelIdentity:
         assert stats.documents == len(CORPUS)
         assert stats.shards >= 2
 
-    def test_extraction_only_path_matches(self, sequential):
-        documents = list(sequential.graph.documents.values())
-        reference, _ = extract_all_raw_postings(documents, workers=1)
-        parallel, stats = extract_all_raw_postings(documents, workers=2)
-        assert list(reference) == list(parallel)
-        assert reference == parallel
-        assert stats.workers == 2
+    def test_parsed_documents_are_extracted_in_process(self, monkeypatch):
+        kinds = ["dil", "rdil", "hdil"]
+        reference = XRankEngine()
+        reference.build(
+            kinds=kinds, corpus=generate_dblp(num_papers=20, seed=3)
+        )
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for parsed documents")
+
+        monkeypatch.setattr(
+            "repro.build.pipeline.ProcessPoolExecutor", no_pool
+        )
+        engine = XRankEngine()
+        engine.build(
+            kinds=kinds, corpus=generate_dblp(num_papers=20, seed=3),
+            workers=2,
+        )
+        assert engine.last_build_stats is None
+        for kind in kinds:
+            assert engine.index(kind).disk.pages == (
+                reference.index(kind).disk.pages
+            ), kind
 
 
 class TestIdentityGate:
@@ -193,15 +207,25 @@ class TestFaults:
     def _specs(self):
         return specs_from(list(CORPUS))
 
+    def _crash_every_attempt(self):
+        return FaultPlan(0, [FaultSpec(SITE_WORKER_CRASH, 1.0)])
+
     def test_worker_crash_surfaces_build_error(self):
         # A worker dying mid-shard (os._exit) breaks the pool; the parent
         # must convert that into BuildError instead of hanging.
         with pytest.raises(BuildError, match="worker process died"):
-            build_corpus(self._specs(), workers=2, _fault=(0, FAULT_CRASH))
+            build_corpus(
+                self._specs(), workers=2,
+                fault_plan=self._crash_every_attempt(),
+            )
 
     def test_worker_exception_surfaces_build_error(self):
+        # Inline, the injected crash degrades to a raise.
         with pytest.raises(BuildError, match="injected failure"):
-            build_corpus(self._specs(), workers=2, _fault=(0, FAULT_RAISE))
+            build_corpus(
+                self._specs(), workers=1,
+                fault_plan=self._crash_every_attempt(),
+            )
 
     def test_parse_error_raise_policy(self):
         specs = specs_from(["<broken", *[s for s, _ in CORPUS]])
@@ -300,6 +324,49 @@ class TestOneIngestionPath:
         with pytest.raises(QueryError):
             engine.build(kinds=["dil"], corpus=corpus + ["<broken"])
         assert engine.graph.documents == before
+
+    @pytest.mark.parametrize(
+        "corpus, on_parse_error, error",
+        [
+            (["<broken"], "raise", BuildError),
+            (["<c><t>new</t></c>"], "bogus", QueryError),
+            ([], "bogus", QueryError),
+        ],
+        ids=["parse-error", "bad-policy", "bad-policy-parsed-only"],
+    )
+    def test_failed_build_leaves_the_engine_as_it_was(
+        self, corpus, on_parse_error, error
+    ):
+        engine = XRankEngine()
+        engine.build(kinds=["dil"], corpus=["<a><t>kept</t></a>"])
+        before = (
+            dict(engine.graph.documents),
+            engine._next_doc_id,
+            engine.generation,
+            engine.index("dil"),
+        )
+        answer = [hit.dewey for hit in engine.search("kept", kind="dil")]
+        with pytest.raises(error):
+            engine.build(
+                kinds=["dil"],
+                corpus=[parse_xml("<b>new</b>", doc_id=7), *corpus],
+                on_parse_error=on_parse_error,
+            )
+        assert (
+            dict(engine.graph.documents),
+            engine._next_doc_id,
+            engine.generation,
+            engine.index("dil"),
+        ) == before
+        assert [
+            hit.dewey for hit in engine.search("kept", kind="dil")
+        ] == answer
+        engine.build(
+            kinds=["dil"],
+            corpus=[parse_xml("<b>new</b>", doc_id=7), "<c><t>new</t></c>"],
+        )
+        assert sorted(engine.graph.documents) == [0, 7, 8]
+        assert len(engine.search("new", m=10, kind="dil")) == 2
 
     def test_items_are_numbered_around_claimed_ids(self):
         specs = specs_from(
