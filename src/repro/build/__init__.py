@@ -6,18 +6,20 @@ half of that pipeline across worker processes:
 
 * each worker parses its shard's documents (Dewey IDs are a pure function
   of the pre-assigned doc id and document structure), tokenizes them, and
-  emits per-shard posting skeletons — optionally spilled to run files —
-  plus the parsed documents themselves;
-* the parent performs a deterministic k-way merge of the shard outputs in
-  ascending doc-id order, assembles the link graph, and runs ElemRank
-  *once* over the merged graph before attaching scores and bulk-loading
-  the usual DIL/RDIL/HDIL structures.
+  emits each document's posting skeletons — optionally spilled to run
+  files — plus the parsed documents themselves;
+* the parent collects the skeletons into one block per doc id, adds the
+  documents to the link graph, and runs ElemRank *once* over the whole
+  graph; :class:`~repro.index.builder.IndexBuilder` then folds the blocks
+  in the graph's ascending doc-id order before attaching scores and
+  bulk-loading the usual DIL/RDIL/HDIL structures.
 
-Only sources are sharded: a document that arrives already parsed is
-extracted in-process by :class:`~repro.index.builder.IndexBuilder`.
-Because shard outputs are order-independent and the merge is associative,
-``build(workers=k)`` is byte-identical to the sequential build for every
-``k`` — verified by :mod:`repro.build.verify` and gated in
+Only sources are sharded: a document that arrives already parsed, or that
+an earlier build added, has no block and is extracted in-process by the
+same fold, so each document is extracted once per build.  Because a block
+is a pure function of its document and the fold order is the doc-id
+order, ``build(workers=k)`` is byte-identical to the sequential build for
+every ``k`` — verified by :mod:`repro.build.verify` and gated in
 ``repro check --strict``.
 """
 

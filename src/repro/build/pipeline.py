@@ -1,12 +1,15 @@
-"""Orchestration of the parallel build: shard → workers → deterministic merge.
+"""Orchestration of the parallel build: shard → workers → document blocks.
 
 :func:`build_corpus` is the parse-from-source pipeline (used by
 ``engine.build(corpus=..., workers=N)``, the ``repro build`` CLI and the
 build benchmark).  It runs the exact same per-document code the
 sequential build runs — ``workers=1`` simply executes the single shard
-inline, with no pool — so every worker count folds to byte-identical
-output.  Documents that are already parsed never come here: the engine
-extracts them in-process.
+inline, with no pool — and returns each document's posting skeletons
+keyed by doc id.  It does not fold them: the build's one fold
+(:func:`~repro.index.postings.extract_direct_postings`) walks the graph
+in ascending doc-id order and takes each document's block from here, so
+every worker count yields byte-identical output.  Documents that are
+already parsed never come here: the engine extracts them in-process.
 
 Process management notes:
 
@@ -24,9 +27,9 @@ Process management notes:
   the task's ``fault`` hook; spilled run files are corrupted parent-side
   after the worker returns;
 * spilled run files live in a private temporary directory under the
-  caller's ``spill_dir`` and are removed once merged; each is checksum-
-  validated (:func:`~repro.storage.runfile.verify_run`) before the merge
-  consumes it.
+  caller's ``spill_dir`` and are removed once read back; each is checksum-
+  validated (:func:`~repro.storage.runfile.verify_run`) before its blocks
+  are read.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import multiprocessing
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,9 +47,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import BuildError, CorruptRunError
 from ..faults import SITE_RUNFILE_CORRUPT, SITE_WORKER_CRASH, FaultPlan
 from ..index.postings import RawPostingMap
-from ..storage.runfile import verify_run
+from ..storage.runfile import RunReader, verify_run
 from ..xmlmodel.nodes import Document
-from .merge import merge_shard_results
 from .shard import DocumentSpec, shard_specs
 from .worker import (
     FAULT_CRASH,
@@ -70,10 +72,10 @@ class BuildStats:
     skipped: int = 0
     parse_seconds: float = 0.0
     extract_seconds: float = 0.0
+    #: Time spent collecting the shards' blocks (reading spilled runs back).
     merge_seconds: float = 0.0
     elapsed_seconds: float = 0.0
     spilled_bytes: int = 0
-    keywords: int = 0
     #: Shard attempts beyond the first (worker crash / raise / corrupt run).
     retries: int = 0
 
@@ -88,17 +90,16 @@ class BuildStats:
             "merge_seconds": round(self.merge_seconds, 4),
             "elapsed_seconds": round(self.elapsed_seconds, 4),
             "spilled_bytes": self.spilled_bytes,
-            "keywords": self.keywords,
             "retries": self.retries,
         }
 
 
 @dataclass
 class CorpusBuildResult:
-    """Parsed documents plus the merged posting skeletons for the corpus."""
+    """Parsed documents plus each one's posting skeletons, by doc id."""
 
     documents: List[Document] = field(default_factory=list)
-    raw_postings: RawPostingMap = field(default_factory=dict)
+    raw_postings: Dict[int, RawPostingMap] = field(default_factory=dict)
     skipped: List[Tuple[str, str]] = field(default_factory=list)
     stats: BuildStats = field(default_factory=BuildStats)
 
@@ -136,6 +137,17 @@ def _post_process_shard(
     if fault_plan is not None and fault_plan.should_fire(SITE_RUNFILE_CORRUPT):
         _corrupt_run_file(result.run_path, fault_plan)
     verify_run(result.run_path)
+
+
+def _submit(executor: ProcessPoolExecutor, task: ShardTask) -> Future:
+    """Submit one shard; a pool that broke before the submit yields a
+    failed future, so the shard costs one attempt like any worker death."""
+    try:
+        return executor.submit(process_shard, task)
+    except BrokenProcessPool as exc:
+        failed: Future = Future()
+        failed.set_exception(exc)
+        return failed
 
 
 def _execute_shards(
@@ -183,10 +195,7 @@ def _execute_shards(
                 max_workers=min(workers, len(ordered)),
                 mp_context=_mp_context(),
             ) as executor:
-                futures = [
-                    (task, executor.submit(process_shard, task))
-                    for task in ordered
-                ]
+                futures = [(task, _submit(executor, task)) for task in ordered]
                 for task, future in futures:
                     try:
                         result = future.result()
@@ -233,8 +242,8 @@ def build_corpus(
             CRC-checked run files under a private temp dir here instead of
             returning them through the result pipe (see
             repro.storage.runfile).  Spilling does not bound memory: the
-            parsed documents still come back through the pipe, and the
-            merge folds every skeleton into one map.
+            parsed documents still come back through the pipe, and every
+            run is read back into the returned blocks.
         on_parse_error: ``"raise"`` (default) or ``"skip"`` (collect the
             failures, like ``repro index``).
         fault_plan: seeded :class:`~repro.faults.FaultPlan` driving worker
@@ -270,19 +279,22 @@ def build_corpus(
             tasks, workers, fault_plan
         )
 
-        merge_started = time.perf_counter()
-        result.raw_postings = merge_shard_results(shard_results)
-        result.stats.merge_seconds = time.perf_counter() - merge_started
+        collect_started = time.perf_counter()
         for shard_result in shard_results:
+            result.raw_postings.update(
+                RunReader(shard_result.run_path)
+                if shard_result.run_path is not None
+                else shard_result.raw_postings
+            )
             result.documents.extend(shard_result.documents)
             result.skipped.extend(shard_result.skipped)
             result.stats.parse_seconds += shard_result.parse_seconds
             result.stats.extract_seconds += shard_result.extract_seconds
             result.stats.spilled_bytes += shard_result.spilled_bytes
+        result.stats.merge_seconds = time.perf_counter() - collect_started
         result.documents.sort(key=lambda document: document.doc_id)
         result.stats.documents = len(result.documents)
         result.stats.skipped = len(result.skipped)
-        result.stats.keywords = len(result.raw_postings)
     finally:
         if run_dir is not None:
             shutil.rmtree(run_dir, ignore_errors=True)

@@ -15,14 +15,14 @@ are assigned by longest-processing-time-first over a cheap cost proxy
 (source length / file size), which is within 4/3 of optimal makespan and
 needs nothing but the spec list.
 
-Correctness never depends on the plan: the merge keys on doc id, so *any*
-partition folds to the same result (that's the point of making shard
-outputs order-independent).  The plan only shapes load balance.
+Correctness never depends on the plan: the build folds the blocks in the
+graph's doc-id order, so *any* partition folds to the same result (that's
+the point of making shard outputs order-independent).  The plan only
+shapes load balance.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -143,8 +143,8 @@ def shard_specs(
     lightest shard (ties broken by shard index, sizes by doc id — both
     total orders, so the plan is a pure function of the input).  Within a
     shard, specs are re-sorted by doc id so every worker processes — and
-    spills — its documents in ascending doc-id order, the invariant the
-    k-way merge relies on.
+    spills — its documents in ascending doc-id order, which keeps repeated
+    builds reproducible down to the run files.
     """
     if num_shards < 1:
         raise BuildError(f"num_shards must be >= 1, got {num_shards}")
@@ -155,12 +155,11 @@ def shard_specs(
     by_size = sorted(
         specs, key=lambda spec: (-spec.cost_estimate(), spec.doc_id)
     )
-    heap = [(0, shard_index) for shard_index in range(num_shards)]
-    heapq.heapify(heap)
+    loads = [0] * num_shards
     for spec in by_size:
-        load, shard_index = heapq.heappop(heap)
-        shards[shard_index].append(spec)
-        heapq.heappush(heap, (load + spec.cost_estimate(), shard_index))
+        lightest = min(range(num_shards), key=loads.__getitem__)
+        shards[lightest].append(spec)
+        loads[lightest] += spec.cost_estimate()
     for shard in shards:
         shard.sort(key=lambda spec: spec.doc_id)
     return [shard for shard in shards if shard] or [[]]

@@ -9,7 +9,7 @@ directory is configured — the path of the run file it streamed them into
 (see :mod:`repro.storage.runfile`).
 
 Workers never see the link graph or ElemRank: scores are a global
-computation the parent performs after the merge.  That separation is what
+computation the parent performs after the fold.  That separation is what
 makes shard outputs pure functions of their own documents.
 """
 
@@ -47,7 +47,7 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """What a worker sends back to the merge phase."""
+    """What a worker sends back to the parent."""
 
     shard_id: int
     documents: List[Document] = field(default_factory=list)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .build.shard import DocumentSpec, parse_spec, specs_from
 from .config import XRankConfig
 from .errors import (
     DocumentNotFoundError,
@@ -41,9 +42,7 @@ from .query.structured import PathFilter
 from .ranking.elemrank import ElemRankVariant
 from .text.tokenize import tokenize_query
 from .xmlmodel.graph import CollectionGraph
-from .xmlmodel.html import parse_html
 from .xmlmodel.nodes import Document
-from .xmlmodel.parser import parse_xml
 
 def _highlight(text: str, keywords: List[str]) -> str:
     """Wrap case-insensitive whole-word keyword matches in brackets."""
@@ -155,23 +154,11 @@ class XRankEngine:
 
     def add_xml(self, source: str, uri: str = "") -> int:
         """Parse and register an XML document; returns its document id."""
-        doc_id = self._take_doc_id()
-        document = parse_xml(
-            source, doc_id=doc_id, uri=uri, word_table=self.graph.word_table
-        )
-        self.graph.add_document(document)
-        self._invalidate()
-        return doc_id
+        return self.add_document(self._parse(source, uri))
 
     def add_html(self, source: str, uri: str = "") -> int:
         """Parse and register an HTML document (flattened, root-only)."""
-        doc_id = self._take_doc_id()
-        document = parse_html(
-            source, doc_id=doc_id, uri=uri, word_table=self.graph.word_table
-        )
-        self.graph.add_document(document)
-        self._invalidate()
-        return doc_id
+        return self.add_document(self._parse(source, uri, is_html=True))
 
     def add_document(self, document: Document) -> int:
         """Register an already parsed document (id must be unique)."""
@@ -205,17 +192,16 @@ class XRankEngine:
         full :meth:`build` (ElemRank is an offline computation, Figure 2).
         """
         self._require_built("dil-incremental")
-        doc_id = self._take_doc_id()
-        document = parse_xml(
-            source, doc_id=doc_id, uri=uri, word_table=self.graph.word_table
-        )
+        return self._add_incremental(self._parse(source, uri))
+
+    def _add_incremental(self, document: Document) -> int:
         self.graph.add_document(document)
         self.graph.finalize()
         self._indexes["dil-incremental"].add_documents(
             [document], reference=self.builder.elemranks
         )
         self.generation += 1
-        return doc_id
+        return document.doc_id
 
     def merge_incremental(self) -> None:
         """Fold the incremental delta into its main index (compaction)."""
@@ -229,19 +215,28 @@ class XRankEngine:
         Element-granularity edits are applied by re-adding the whole edited
         document: the old version is tombstoned, the new one takes a fresh
         id and lands in the incremental delta (requires the
-        ``"dil-incremental"`` kind).  Returns the new document id.
+        ``"dil-incremental"`` kind).  Returns the new document id.  The
+        new source is parsed first, so one that fails to parse leaves the
+        old version in place.
         """
         self._require_built("dil-incremental")
         if doc_id not in self.graph.documents:
             raise DocumentNotFoundError(f"no document with id {doc_id}")
+        document = self._parse(source, uri)
         for index in self._indexes.values():
             index.delete_document(doc_id)
-        return self.add_xml_incremental(source, uri=uri)
+        return self._add_incremental(document)
 
-    def _take_doc_id(self) -> int:
-        doc_id = self._next_doc_id
+    def _parse(self, source: str, uri: str, is_html: bool = False) -> Document:
+        """Parse one added source under the next free doc id, through the
+        build's :func:`~repro.build.shard.parse_spec`.  The id is taken
+        only once the parse succeeds, so a failed add leaves it free."""
+        spec = DocumentSpec(
+            doc_id=self._next_doc_id, uri=uri, source=source, is_html=is_html
+        )
+        document = parse_spec(spec, self.graph.word_table)
         self._next_doc_id += 1
-        return doc_id
+        return document
 
     def _invalidate(self) -> None:
         self.builder = None
@@ -280,13 +275,14 @@ class XRankEngine:
                 (repro.build).  ``1`` parses them inline — same code path
                 per document, no pool — and any ``workers`` value produces
                 byte-identical indexes (gated by ``repro check --strict``).
-                Documents that are already parsed are extracted
-                in-process at any worker count.
+                Documents that are already parsed, or that the engine
+                already held, are extracted in-process at any worker
+                count; each document is extracted once per build.
             spill_dir: when set, workers ship their posting skeletons back
                 through CRC-checked run files under this directory instead
                 of the result pipe.  This does not bound memory: parsed
                 documents still come back through the pipe, and every
-                skeleton is folded into one map.
+                run is read back before the fold.
             on_parse_error: ``"raise"`` (default) or ``"skip"`` bad
                 documents when ingesting ``corpus``.  A failed ingestion
                 leaves the engine's documents and built indexes as they
@@ -339,13 +335,12 @@ class XRankEngine:
     def _ingest_corpus(
         self, corpus, workers, spill_dir, on_parse_error, fault_plan=None
     ):
-        """Add a corpus through the build pipeline; returns merged raw
-        postings covering the *whole* graph, or None when they must be
-        extracted in-process (the graph holds documents the pipeline did
-        not parse).  Sources are parsed before anything is added, so a
-        failed parse leaves the engine as it was."""
+        """Add a corpus through the build pipeline; returns the posting
+        skeletons of the documents it parsed, by doc id (the builder's fold
+        extracts every other document in-process).  Sources are parsed
+        before anything is added, so a failed parse leaves the engine as
+        it was."""
         from .build.pipeline import build_corpus
-        from .build.shard import specs_from
 
         items = getattr(corpus, "documents", corpus)
         parsed: List[Document] = []
@@ -375,7 +370,6 @@ class XRankEngine:
                 on_parse_error=on_parse_error,
                 fault_plan=fault_plan,
             )
-        had_documents = bool(self.graph.documents)
         for document in parsed:
             self.add_document(document)
         if result is None:
@@ -386,10 +380,6 @@ class XRankEngine:
         self.generation += 1
         self.last_build_stats = result.stats
         self.last_build_skipped = list(result.skipped)
-        if parsed or had_documents:
-            # The pipeline's postings cover only the new sources; re-extract
-            # over the final graph instead of splicing in the rest.
-            return None
         return result.raw_postings
 
     def _build_kind(self, kind: str) -> None:

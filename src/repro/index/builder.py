@@ -6,6 +6,11 @@ compute ElemRanks → extract postings → bulk-load the chosen index.  The
 then materialize any of the five index flavours — each on its own simulated
 disk, so Table 1's space numbers and the query-time I/O measurements are
 attributed cleanly per approach.
+
+Posting extraction is the build's one fold of per-document skeletons, in
+the graph's ascending doc-id order: a document the parallel build
+(repro.build) already extracted contributes its block, and every other
+document is extracted here, so each document is extracted once per build.
 """
 
 from __future__ import annotations
@@ -25,12 +30,7 @@ from ..xmlmodel.graph import CollectionGraph
 from .dil import DILIndex
 from .hdil import HDILIndex
 from .naive import NaiveIdIndex, NaiveRankIndex
-from .postings import (
-    PostingMap,
-    RawPostingMap,
-    attach_scores,
-    extract_direct_postings,
-)
+from .postings import PostingMap, RawPostingMap, extract_direct_postings
 from ..obs.log import default_event_log
 from .rdil import RDILIndex
 
@@ -83,7 +83,7 @@ class IndexBuilder:
         storage_params: Optional[StorageParams] = None,
         scorer: str = "elemrank",
         drop_stopwords: bool = False,
-        raw_postings: Optional[RawPostingMap] = None,
+        raw_postings: Optional[Dict[int, RawPostingMap]] = None,
         elemrank_overrides: Optional[Dict[DeweyId, float]] = None,
     ):
         """Args:
@@ -96,11 +96,11 @@ class IndexBuilder:
                 the index (off by default — XRANK indexes tag names as
                 values and words like "author" must stay searchable; the
                 engine drops the same stopwords from queries when enabled).
-            raw_postings: pre-extracted posting skeletons (the parallel
-                build's merged shard output, see repro.build); when given,
-                the per-element extraction pass is skipped and only score
-                attachment runs here.  Must cover exactly the graph's
-                documents.
+            raw_postings: pre-extracted posting skeletons by doc id (the
+                parallel build's per-document blocks, see repro.build).
+                May cover any subset of the graph's documents: the fold
+                pops each document's block and extracts in-process only
+                the documents without one, so the map is emptied here.
             elemrank_overrides: externally computed ElemRanks keyed by
                 Dewey ID, covering every element of ``graph``.  Used by
                 repro.cluster's global-statistics exchange: a shard worker
@@ -125,8 +125,8 @@ class IndexBuilder:
         else:
             # ElemRank consumes the flat LinkGraph arrays, not the
             # collection graph itself: the same call works on arrays
-            # assembled by the parallel merge, keeping graph assembly
-            # decoupled from parsing.
+            # assembled elsewhere, keeping graph assembly decoupled from
+            # parsing.
             self.elemrank_result = compute_elemrank(
                 LinkGraph.from_collection(graph),
                 elemrank_params,
@@ -140,14 +140,9 @@ class IndexBuilder:
             from ..ranking.tfidf import compute_tfidf_weights
 
             score_overrides = compute_tfidf_weights(graph)
-        if raw_postings is not None:
-            self.direct_postings: PostingMap = attach_scores(
-                raw_postings, self.elemranks, score_overrides
-            )
-        else:
-            self.direct_postings = extract_direct_postings(
-                graph, self.elemranks, score_overrides
-            )
+        self.direct_postings: PostingMap = extract_direct_postings(
+            graph, self.elemranks, score_overrides, raw_postings
+        )
         self.drop_stopwords = drop_stopwords
         if drop_stopwords:
             from ..text.tokenize import STOPWORDS

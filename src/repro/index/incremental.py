@@ -43,7 +43,7 @@ from .postings import (
     Posting,
     PostingMap,
     attach_scores,
-    extract_document_raw_postings,
+    document_blocks,
     merge_raw_postings,
 )
 
@@ -89,12 +89,9 @@ def postings_for_documents(
     documents: Iterable[Document], scores: Dict[DeweyId, float]
 ) -> PostingMap:
     """Direct postings for a batch of new documents, Dewey-ordered per
-    keyword (the same two phases as :func:`extract_direct_postings`)."""
-    per_document = [
-        (document.doc_id, extract_document_raw_postings(document))
-        for document in sorted(documents, key=lambda d: d.doc_id)
-    ]
-    return attach_scores(merge_raw_postings(per_document), scores)
+    keyword (the same fold as :func:`extract_direct_postings`)."""
+    ordered = sorted(documents, key=lambda document: document.doc_id)
+    return attach_scores(merge_raw_postings(document_blocks(ordered)), scores)
 
 
 class IncrementalDILIndex:

@@ -16,7 +16,7 @@ apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import DeweyError, StorageError
 from ..storage.records import FLOAT32, put_uint_list, read_uint_list
@@ -105,7 +105,7 @@ PostingMap = Dict[str, List[Posting]]
 #: are attached.  This is the unit the parallel build pipeline ships
 #: between processes — it depends only on one document's content, never on
 #: the global link graph, which is what makes shard outputs order
-#: independent and their merge associative.
+#: independent: any sharding yields the same per-document blocks.
 RawPostingMap = Dict[str, List[Tuple[DeweyId, Tuple[int, ...]]]]
 
 
@@ -139,13 +139,29 @@ def merge_raw_postings(
     that order reproduces exactly what a single pass over the whole
     collection would produce (Dewey IDs of different documents never
     interleave), so any shard partition folds to the same result.  The
-    fold does not sort: a mis-ordered merge must show in the built pages.
+    fold does not sort: a mis-ordered fold must show in the built pages.
     """
     merged: RawPostingMap = {}
     for _doc_id, raw in blocks:
         for word, entries in raw.items():
             merged.setdefault(word, []).extend(entries)
     return merged
+
+
+def document_blocks(
+    documents: Iterable, blocks: Optional[Dict[int, RawPostingMap]] = None
+) -> Iterator[Tuple[int, RawPostingMap]]:
+    """``(doc_id, skeletons)`` for each document, in the order given.
+
+    A document whose block is in ``blocks`` (the parallel build's output)
+    has it popped, so the block is freed once folded; any other document
+    is extracted here.  Either way each document is extracted once.
+    """
+    for document in documents:
+        raw = blocks.pop(document.doc_id, None) if blocks else None
+        if raw is None:
+            raw = extract_document_raw_postings(document)
+        yield document.doc_id, raw
 
 
 def attach_scores(
@@ -156,7 +172,7 @@ def attach_scores(
     """Turn posting skeletons into scored postings.
 
     Scores need the *global* link graph (ElemRank) or corpus statistics
-    (tf-idf), so this runs once after the merge — never inside a worker.
+    (tf-idf), so this runs once after the fold — never inside a worker.
     ``score_overrides`` optionally maps ``(dewey components, keyword)`` to a
     per-keyword score (e.g. tf-idf weights); where present it replaces the
     element's ElemRank in the posting — the hook Section 4 describes for
@@ -178,21 +194,21 @@ def extract_direct_postings(
     graph: CollectionGraph,
     elemranks: Dict[DeweyId, float],
     score_overrides=None,
+    blocks: Optional[Dict[int, RawPostingMap]] = None,
 ) -> PostingMap:
     """Build per-keyword postings for elements that *directly* contain them.
 
-    The sequential path through the same two phases the parallel build
-    uses: per-document skeleton extraction (in ascending doc-id order, so
-    each keyword's posting list comes out Dewey-sorted with no extra sort)
-    followed by score attachment.  Keeping one code path is what lets
+    The one fold of every build: the graph's documents in ascending doc-id
+    order (the first Dewey component, so each keyword's list comes out
+    Dewey-sorted with no extra sort), each taking its block from
+    ``blocks`` or being extracted in-process (:func:`document_blocks`),
+    followed by score attachment.  Keeping one fold is what lets
     ``build(workers=k)`` promise byte-identical output for every ``k``.
     """
-    per_document = [
-        (document.doc_id, extract_document_raw_postings(document))
-        for document in graph.iter_documents()
-    ]
     return attach_scores(
-        merge_raw_postings(per_document), elemranks, score_overrides
+        merge_raw_postings(document_blocks(graph.iter_documents(), blocks)),
+        elemranks,
+        score_overrides,
     )
 
 

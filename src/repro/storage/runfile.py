@@ -3,16 +3,16 @@
 A worker that has extracted posting skeletons for its shard can return
 them through the result pipe or *spill* them to a run file and ship only
 the file path back to the parent, which checksum-scans the file before
-the merge reads it.  Spilling keeps the skeletons out of the pipe; it
-does not bound memory, since the worker still returns its parsed
-documents and the parent folds every skeleton into one map.
+it reads the blocks back.  Spilling keeps the skeletons out of the pipe;
+it does not bound memory, since the worker still returns its parsed
+documents and the parent reads every block back before the fold.
 
 Format: a run file is a sequence of **document blocks**, written in
 ascending doc-id order (the order the worker processed its shard).  Each
 block is length-prefixed so a reader streams one block at a time without
 loading the file, and carries a CRC32C trailer so corruption (a crashed
-worker's half-written tail, injected bit flips) is detected at merge
-time rather than silently merged into the index:
+worker's half-written tail, injected bit flips) is detected when the run
+is read rather than silently folded into the index:
 
     block  := varint(byte_length) || body || crc32c(body)   [4 bytes LE]
     body   := varint(doc_id) || varint(num_keywords) || keyword_entry*
@@ -20,15 +20,15 @@ time rather than silently merged into the index:
                      || (dewey || uint_list(positions))*
 
 Keyword entries preserve the worker's first-occurrence order and postings
-preserve Dewey order, so replaying blocks in ascending doc-id order across
-all runs reproduces exactly the sequential extraction — the byte-identity
-guarantee of the parallel build rests on this round-trip being faithful.
+preserve Dewey order, so a block read back equals the block the document's
+in-process extraction yields — the byte-identity guarantee of the parallel
+build rests on this round-trip being faithful.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Tuple
+from typing import IO, Iterator, Optional, Tuple
 
 from ..errors import CorruptRunError, StorageError
 from ..xmlmodel.dewey import decode_varint, encode_varint
@@ -156,7 +156,7 @@ def verify_run(path) -> int:
 
     Decodes every block (checksums verified by :class:`RunReader`), so any
     torn tail or bit flip surfaces as :class:`CorruptRunError` *before* the
-    merge consumes the run — the pre-merge gate the parallel build uses to
+    build reads the run's blocks — the gate the parallel build uses to
     decide whether a shard must be retried.
     """
     count = 0
@@ -164,27 +164,3 @@ def verify_run(path) -> int:
         count += 1
     return count
 
-
-def merge_runs(paths: List) -> Iterator[Tuple[int, dict]]:
-    """K-way merge of run files into one ascending doc-id block stream.
-
-    Shards partition the document space, and each run is internally sorted
-    by doc id, so a heap over the head block of every run yields the global
-    document order — the deterministic merge the parallel build folds into
-    the final posting map.
-    """
-    import heapq
-
-    iterators = [iter(RunReader(path)) for path in paths]
-    heap = []
-    for index, iterator in enumerate(iterators):
-        head = next(iterator, None)
-        if head is not None:
-            heap.append((head[0], index, head[1]))
-    heapq.heapify(heap)
-    while heap:
-        doc_id, index, raw = heapq.heappop(heap)
-        yield doc_id, raw
-        head = next(iterators[index], None)
-        if head is not None:
-            heapq.heappush(heap, (head[0], index, head[1]))

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.build.merge import merge_shard_results
 from repro.build.pipeline import build_corpus
 from repro.build.shard import DocumentSpec, shard_specs, specs_from
-from repro.build.verify import compare_engines, default_probe_queries
+from repro.build.verify import (
+    compare_engines,
+    compare_pages,
+    default_probe_queries,
+)
 from repro.build.worker import ShardTask, process_shard
-from repro.engine import XRankEngine
+from repro.engine import INDEX_KINDS, XRankEngine
 from repro.cluster.verify import single_node_oracle
 from repro.datasets.dblp import generate_dblp
 from repro.errors import BuildError, QueryError
@@ -188,17 +191,17 @@ class TestIdentityGate:
         ]
 
     def test_shard_merge_that_swaps_two_documents(self, monkeypatch):
-        from repro.build import merge
+        from repro.index import postings
 
         reference = _engine(workers=1)
-        in_order = merge.merge_block_streams
+        in_order = postings.merge_raw_postings
 
-        def swapped(streams):
-            blocks = list(in_order(streams))
+        def swapped(blocks):
+            blocks = list(blocks)
             blocks[0], blocks[1] = blocks[1], blocks[0]
-            return iter(blocks)
+            return in_order(blocks)
 
-        monkeypatch.setattr(merge, "merge_block_streams", swapped)
+        monkeypatch.setattr(postings, "merge_raw_postings", swapped)
         problems = compare_engines(reference, _engine(workers=2))
         assert problems and problems[0].startswith("hdil: page")
 
@@ -226,6 +229,27 @@ class TestFaults:
                 self._specs(), workers=1,
                 fault_plan=self._crash_every_attempt(),
             )
+
+    def test_broken_pool_at_submit_costs_one_attempt(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submits = []
+
+        class BreaksAtSecondSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a worker died before the submit")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.build.pipeline.ProcessPoolExecutor", BreaksAtSecondSubmit
+        )
+        engine = _engine(workers=2)
+        assert engine.last_build_stats.retries == 1
+        assert len(submits) == 3
+        assert compare_pages(_engine(workers=1), engine) == []
 
     def test_parse_error_raise_policy(self):
         specs = specs_from(["<broken", *[s for s, _ in CORPUS]])
@@ -282,6 +306,28 @@ class TestOneIngestionPath:
                 if reference is None:
                     reference = built
                 assert built == reference, (form, workers)
+
+    @pytest.fixture(scope="class")
+    def one_shot(self):
+        engine = XRankEngine()
+        engine.build(kinds=INDEX_KINDS, corpus=list(CORPUS))
+        return engine
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["pipe", "spill"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_build_onto_the_first_half_matches_one_shot(
+        self, one_shot, tmp_path, workers, spill
+    ):
+        engine = XRankEngine()
+        half = len(CORPUS) // 2
+        for part in (CORPUS[:half], CORPUS[half:]):
+            engine.build(
+                kinds=INDEX_KINDS,
+                corpus=list(part),
+                workers=workers,
+                spill_dir=str(tmp_path) if spill else None,
+            )
+        assert compare_pages(one_shot, engine) == []
 
     def test_spec_doc_ids_are_kept(self):
         specs = [
@@ -382,6 +428,51 @@ class TestOneIngestionPath:
             DocumentSpec(doc_id=0, source="<a/>", path="a.xml")
 
 
+class TestOneExtractionPerDocument:
+    """A build extracts each document once, wherever it came from."""
+
+    @pytest.fixture()
+    def extractions(self, monkeypatch):
+        from repro.build import worker
+        from repro.index import postings
+
+        doc_ids = []
+        extract = postings.extract_document_raw_postings
+
+        def counting(document):
+            doc_ids.append(document.doc_id)
+            return extract(document)
+
+        for module in (postings, worker):
+            monkeypatch.setattr(
+                module, "extract_document_raw_postings", counting
+            )
+        return doc_ids
+
+    def test_sources_onto_an_engine_that_holds_a_document(self, extractions):
+        engine = XRankEngine()
+        engine.build(kinds=["hdil"], corpus=[CORPUS[0]])
+        extractions.clear()
+        engine.build(kinds=["hdil"], corpus=list(CORPUS[1:3]))
+        assert sorted(extractions) == [0, 1, 2]
+
+    def test_a_parsed_document_beside_sources(self, extractions):
+        source, uri = CORPUS[0]
+        engine = XRankEngine()
+        engine.build(
+            kinds=["hdil"],
+            corpus=[parse_xml(source, doc_id=0, uri=uri), *CORPUS[1:3]],
+        )
+        assert sorted(extractions) == [0, 1, 2]
+
+    def test_parsed_only_corpus(self, extractions):
+        engine = XRankEngine()
+        engine.build(
+            kinds=["hdil"], corpus=generate_dblp(num_papers=5, seed=3)
+        )
+        assert sorted(extractions) == sorted(engine.graph.documents)
+
+
 # -- property-based determinism ----------------------------------------------------
 
 _WORDS = st.sampled_from(
@@ -408,25 +499,28 @@ class TestShardMergeProperty:
     def test_any_sharding_merges_to_sequential_order(
         self, word_lists, num_shards
     ):
-        """Shard+merge is a pure function of the corpus, not the sharding.
+        """Any sharding yields the same per-document blocks.
 
         Runs the real worker entry point in-process per shard (no pool —
-        that keeps hypothesis fast) and checks the merged posting map is
-        exactly the one-shard result: same keywords, same insertion order,
-        same skeletons.
+        that keeps hypothesis fast) and checks every document's block is
+        exactly its one-shard block: same keywords in the same insertion
+        order, same skeletons.  The fold takes blocks by doc id, so equal
+        blocks fold to the sequential posting map.
         """
+
+        def blocks(shards):
+            by_doc_id = {}
+            for shard_id, shard in enumerate(shards):
+                task = ShardTask(shard_id=shard_id, specs=shard)
+                by_doc_id.update(process_shard(task).raw_postings)
+            return {
+                doc_id: list(raw.items()) for doc_id, raw in by_doc_id.items()
+            }
+
         specs = specs_from(_to_sources(word_lists))
-        reference = merge_shard_results(
-            [process_shard(ShardTask(shard_id=0, specs=list(specs)))]
-        )
-        shards = shard_specs(list(specs), num_shards)
-        results = [
-            process_shard(ShardTask(shard_id=i, specs=shard))
-            for i, shard in enumerate(shards)
-        ]
-        merged = merge_shard_results(results)
-        assert list(merged) == list(reference)
-        assert merged == reference
+        reference = blocks([list(specs)])
+        assert sorted(reference) == [spec.doc_id for spec in specs]
+        assert blocks(shard_specs(list(specs), num_shards)) == reference
 
     @pytest.mark.slow
     @given(word_lists=_CORPUS_STRATEGY, workers=st.integers(2, 4))

@@ -172,6 +172,19 @@ class TestIncrementalEngine:
         hits = e.search("freshly", kind="dil-incremental")
         assert hits and hits[0].dewey.startswith(str(doc_id))
 
+    def test_failed_add_leaves_the_doc_id_free(self):
+        from repro.errors import XMLParseError
+
+        e = XRankEngine()
+        with pytest.raises(XMLParseError):
+            e.add_xml("<broken")
+        assert e.add_xml("<a>seed words</a>") == 0
+        e.build(kinds=["dil-incremental"])
+        with pytest.raises(XMLParseError):
+            e.add_xml_incremental("<broken")
+        assert e.add_xml_incremental("<b>late words</b>") == 1
+        assert e.add_html("<html><body>web words</body></html>") == 2
+
     def test_incremental_requires_kind(self):
         e = XRankEngine()
         e.add_xml("<a>x</a>")

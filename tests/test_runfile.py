@@ -2,8 +2,7 @@
 
 The parallel build's byte-identity guarantee rests on this round-trip
 being faithful: what a worker spills must come back with the same keyword
-insertion order, Dewey IDs and position lists, and ``merge_runs`` must
-replay blocks from many runs in global ascending doc-id order.
+insertion order, Dewey IDs and position lists.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.storage.runfile import (
     RunWriter,
     decode_document_block,
     encode_document_block,
-    merge_runs,
     verify_run,
 )
 from repro.xmlmodel.dewey import DeweyId, decode_varint
@@ -99,19 +97,6 @@ class TestRunFiles:
         with pytest.raises(StorageError):
             list(RunReader(path))
 
-    def test_merge_runs_global_doc_order(self, tmp_path):
-        # Shards partition the doc space non-contiguously (LPT does that);
-        # the merge must still produce global ascending doc-id order.
-        shards = {"a.run": (0, 3, 5), "b.run": (1, 4), "c.run": (2,)}
-        for name, doc_ids in shards.items():
-            with RunWriter(tmp_path / name) as writer:
-                for doc_id in doc_ids:
-                    writer.append(doc_id, _raw(doc_id))
-        merged = list(merge_runs([tmp_path / name for name in shards]))
-        assert [doc_id for doc_id, _ in merged] == [0, 1, 2, 3, 4, 5]
-        for doc_id, decoded in merged:
-            assert decoded == _raw(doc_id)
-
     def test_bit_flip_detected(self, tmp_path):
         path = tmp_path / "shard.run"
         with RunWriter(path) as writer:
@@ -136,12 +121,3 @@ class TestRunFiles:
             for doc_id in (0, 1, 2):
                 writer.append(doc_id, _raw(doc_id))
         assert verify_run(path) == 3
-
-    def test_merge_runs_handles_empty_run(self, tmp_path):
-        RunWriter(tmp_path / "empty.run").close()
-        with RunWriter(tmp_path / "full.run") as writer:
-            writer.append(2, _raw(2))
-        merged = list(
-            merge_runs([tmp_path / "empty.run", tmp_path / "full.run"])
-        )
-        assert [doc_id for doc_id, _ in merged] == [2]

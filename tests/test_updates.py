@@ -152,6 +152,18 @@ class TestEngineReplace:
         hits = engine.search("revised", kind="dil-incremental")
         assert hits and hits[0].dewey.startswith(str(new_id))
 
+    def test_replace_with_a_bad_source_keeps_the_document(self):
+        from repro.errors import XMLParseError
+
+        engine = XRankEngine()
+        doc_id = engine.add_xml("<a>original content here</a>")
+        engine.build(kinds=["dil-incremental"])
+        with pytest.raises(XMLParseError):
+            engine.replace_document(doc_id, "<broken")
+        hits = engine.search("original", kind="dil-incremental")
+        assert [hit.dewey for hit in hits] == [str(doc_id)]
+        assert engine.replace_document(doc_id, "<a>revised</a>") == 1
+
     def test_replace_unknown_document(self):
         from repro.errors import DocumentNotFoundError
 
