@@ -7,7 +7,8 @@ half of that pipeline across worker processes:
 * each worker parses its shard's documents (Dewey IDs are a pure function
   of the pre-assigned doc id and document structure), tokenizes them, and
   emits each document's posting skeletons — optionally spilled to run
-  files — plus the parsed documents themselves;
+  files, which the parent reads back once, checking each block's CRC as
+  it decodes it — plus the parsed documents themselves;
 * the parent collects the skeletons into one block per doc id, adds the
   documents to the link graph, and runs ElemRank *once* over the whole
   graph; :class:`~repro.index.builder.IndexBuilder` then folds the blocks

@@ -15,25 +15,29 @@ Process management notes:
 
 * the start method prefers ``fork`` where the platform has it and falls
   back to ``spawn`` elsewhere;
-* a worker that raises, a worker that *dies* (OOM-kill, segfault — breaks
-  the pool), and a spilled run file that fails its checksum scan are all
-  handled per shard: the shard is retried up to :data:`MAX_SHARD_ATTEMPTS`
-  times (recreating the pool after a crash) before the pipeline gives up
-  with a clean :class:`~repro.errors.BuildError` — transient faults cost
-  retries (counted in ``BuildStats.retries``), not whole builds, and the
+* inline and pooled shards share one result loop: an inline shard runs
+  into an already-completed future, so a worker that raises, a worker
+  that *dies* (OOM-kill, segfault — breaks the pool), and a spilled run
+  file that fails to read are all handled once, per shard: the shard is
+  retried up to :data:`MAX_SHARD_ATTEMPTS` times (recreating the pool
+  after a crash) before the pipeline gives up with a clean
+  :class:`~repro.errors.BuildError` — transient faults cost retries
+  (counted in ``BuildStats.retries``), not whole builds, and the
   pipeline never leaves the caller hanging on a dead pool;
 * injected faults (:mod:`repro.faults`) are decided in the *parent* —
   plan state is not shared with worker processes — and delivered through
   the task's ``fault`` hook; spilled run files are corrupted parent-side
   after the worker returns;
 * spilled run files live in a private temporary directory under the
-  caller's ``spill_dir`` and are removed once read back; each is checksum-
-  validated (:func:`~repro.storage.runfile.verify_run`) before its blocks
-  are read.
+  caller's ``spill_dir`` and are removed once the build is done; the
+  result loop reads each run exactly once
+  (:func:`~repro.storage.runfile.read_run`), and the read that decodes
+  its blocks is the one that checks their CRCs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import shutil
 import tempfile
@@ -47,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import BuildError, CorruptRunError
 from ..faults import SITE_RUNFILE_CORRUPT, SITE_WORKER_CRASH, FaultPlan
 from ..index.postings import RawPostingMap
-from ..storage.runfile import RunReader, verify_run
+from ..storage.runfile import read_run
 from ..xmlmodel.nodes import Document
 from .shard import DocumentSpec, shard_specs
 from .worker import (
@@ -72,7 +76,7 @@ class BuildStats:
     skipped: int = 0
     parse_seconds: float = 0.0
     extract_seconds: float = 0.0
-    #: Time spent collecting the shards' blocks (reading spilled runs back).
+    #: Time spent reading spilled runs back (0 without spilling).
     merge_seconds: float = 0.0
     elapsed_seconds: float = 0.0
     spilled_bytes: int = 0
@@ -123,55 +127,69 @@ def _corrupt_run_file(path: str, plan: FaultPlan) -> None:
     file_path.write_bytes(bytes(data))
 
 
-def _post_process_shard(
-    result: ShardResult, fault_plan: Optional[FaultPlan]
+def _read_run(
+    result: ShardResult, fault_plan: Optional[FaultPlan], stats: BuildStats
 ) -> None:
-    """Inject run-file corruption (if armed), then checksum-scan the run.
+    """Inject run-file corruption (if armed), then read a spilled shard's
+    run onto its result, timed into ``stats.merge_seconds``.
 
-    Raises :class:`CorruptRunError` when the spilled run fails validation —
-    the caller treats that exactly like a worker failure and retries the
-    shard (the rewrite truncates, so a retried shard starts clean).
+    The read is the check: it raises :class:`CorruptRunError` when a
+    block fails its framing or checksum, and the caller retries the shard
+    (the rewrite truncates, so a retried shard starts clean).
     """
     if result.run_path is None:
         return
     if fault_plan is not None and fault_plan.should_fire(SITE_RUNFILE_CORRUPT):
         _corrupt_run_file(result.run_path, fault_plan)
-    verify_run(result.run_path)
+    started = time.perf_counter()
+    result.raw_postings = read_run(result.run_path)
+    stats.merge_seconds += time.perf_counter() - started
 
 
-def _submit(executor: ProcessPoolExecutor, task: ShardTask) -> Future:
-    """Submit one shard; a pool that broke before the submit yields a
-    failed future, so the shard costs one attempt like any worker death."""
+def _start(executor: Optional[ProcessPoolExecutor], task: ShardTask) -> Future:
+    """Start one shard: in the pool, or inline when there is no pool.
+
+    An inline shard runs here into an already-completed future; its
+    :class:`BuildError` becomes a failed future, and anything else
+    propagates to the caller.  A pool that broke before the submit also
+    yields a failed future, so the shard costs one attempt like any
+    worker death.
+    """
+    future: Future = Future()
     try:
-        return executor.submit(process_shard, task)
-    except BrokenProcessPool as exc:
-        failed: Future = Future()
-        failed.set_exception(exc)
-        return failed
+        if executor is not None:
+            return executor.submit(process_shard, task)
+        future.set_result(process_shard(task))
+    except (BrokenProcessPool, BuildError) as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _execute_shards(
     tasks: List[ShardTask],
     workers: int,
-    fault_plan: Optional[FaultPlan] = None,
-) -> Tuple[List[ShardResult], int]:
+    fault_plan: Optional[FaultPlan],
+    stats: BuildStats,
+) -> List[ShardResult]:
     """Run shard tasks with per-shard retries; fail cleanly, never hang.
 
-    Worker raises, worker deaths (broken pool — recreated before the next
-    round), and corrupt spilled run files each cost the affected shard one
-    attempt, up to :data:`MAX_SHARD_ATTEMPTS`; only shards that failed are
-    resubmitted.  Injected crash decisions are made here, in the parent,
-    because plan state is not shared with worker processes.  Returns the
-    results ordered by shard id plus the number of retries spent.
+    ``workers=1`` runs each shard inline; otherwise each round gets a
+    fresh pool (a broken one is never reused).  Either way one loop
+    collects the results: worker raises, worker deaths and damaged
+    spilled runs each cost the affected shard one attempt, up to
+    :data:`MAX_SHARD_ATTEMPTS`; only shards that failed run again.
+    Injected crash decisions are made here, in the parent, because plan
+    state is not shared with worker processes.  Returns the results
+    ordered by shard id, each holding its blocks; records the retries
+    and the time spent reading runs in ``stats``.
     """
     inline = workers == 1
     pending = {task.shard_id: task for task in tasks}
     attempts = {task.shard_id: 0 for task in tasks}
     results: Dict[int, ShardResult] = {}
-    retries = 0
     while pending:
-        for shard_id in sorted(pending):
-            task = pending[shard_id]
+        ordered = [pending[shard_id] for shard_id in sorted(pending)]
+        for task in ordered:
             task.fault = None
             if fault_plan is not None and fault_plan.should_fire(
                 SITE_WORKER_CRASH
@@ -180,37 +198,27 @@ def _execute_shards(
                 # the injected "crash" degrades to a raise there.
                 task.fault = FAULT_RAISE if inline else FAULT_CRASH
         failures: Dict[int, str] = {}
-        if inline:
-            for shard_id in sorted(pending):
+        executor = None if inline else ProcessPoolExecutor(
+            max_workers=min(workers, len(ordered)), mp_context=_mp_context()
+        )
+        with executor or contextlib.nullcontext():
+            futures = [(task, _start(executor, task)) for task in ordered]
+            for task, future in futures:
                 try:
-                    result = process_shard(pending[shard_id])
-                    _post_process_shard(result, fault_plan)
+                    result = future.result()
+                    _read_run(result, fault_plan, stats)
+                except BrokenProcessPool:
+                    failures[task.shard_id] = (
+                        "worker process died before returning its shard "
+                        "(out-of-memory or crash)"
+                    )
                 except (BuildError, CorruptRunError) as exc:
-                    failures[shard_id] = str(exc)
+                    failures[task.shard_id] = str(exc)
+                except Exception as exc:
+                    failures[task.shard_id] = f"worker failed: {exc!r}"
                 else:
-                    results[shard_id] = result
-        else:
-            ordered = [pending[shard_id] for shard_id in sorted(pending)]
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(ordered)),
-                mp_context=_mp_context(),
-            ) as executor:
-                futures = [(task, _submit(executor, task)) for task in ordered]
-                for task, future in futures:
-                    try:
-                        result = future.result()
-                        _post_process_shard(result, fault_plan)
-                    except BrokenProcessPool:
-                        failures[task.shard_id] = (
-                            "worker process died before returning its shard "
-                            "(out-of-memory or crash)"
-                        )
-                    except (BuildError, CorruptRunError) as exc:
-                        failures[task.shard_id] = str(exc)
-                    except Exception as exc:
-                        failures[task.shard_id] = f"worker failed: {exc!r}"
-                    else:
-                        results[task.shard_id] = result
+                    results[task.shard_id] = result
+                    del pending[task.shard_id]
         for shard_id, message in sorted(failures.items()):
             attempts[shard_id] += 1
             if attempts[shard_id] >= MAX_SHARD_ATTEMPTS:
@@ -218,11 +226,8 @@ def _execute_shards(
                     f"shard {shard_id} failed after {MAX_SHARD_ATTEMPTS} "
                     f"attempts: {message}"
                 )
-            retries += 1
-        for shard_id in list(pending):
-            if shard_id in results:
-                del pending[shard_id]
-    return [results[shard_id] for shard_id in sorted(results)], retries
+            stats.retries += 1
+    return [results[shard_id] for shard_id in sorted(results)]
 
 
 def build_corpus(
@@ -241,9 +246,11 @@ def build_corpus(
         spill_dir: when set, workers stream posting skeletons into
             CRC-checked run files under a private temp dir here instead of
             returning them through the result pipe (see
-            repro.storage.runfile).  Spilling does not bound memory: the
-            parsed documents still come back through the pipe, and every
-            run is read back into the returned blocks.
+            repro.storage.runfile).  The parent reads each run once; that
+            read checks it, and a damaged run costs its shard one
+            attempt.  Spilling does not bound memory: the parsed
+            documents still come back through the pipe, and every run is
+            read back into the returned blocks.
         on_parse_error: ``"raise"`` (default) or ``"skip"`` (collect the
             failures, like ``repro index``).
         fault_plan: seeded :class:`~repro.faults.FaultPlan` driving worker
@@ -275,23 +282,15 @@ def build_corpus(
             )
             for shard_id, shard in enumerate(shards)
         ]
-        shard_results, result.stats.retries = _execute_shards(
-            tasks, workers, fault_plan
-        )
-
-        collect_started = time.perf_counter()
-        for shard_result in shard_results:
-            result.raw_postings.update(
-                RunReader(shard_result.run_path)
-                if shard_result.run_path is not None
-                else shard_result.raw_postings
-            )
+        for shard_result in _execute_shards(
+            tasks, workers, fault_plan, result.stats
+        ):
+            result.raw_postings.update(shard_result.raw_postings)
             result.documents.extend(shard_result.documents)
             result.skipped.extend(shard_result.skipped)
             result.stats.parse_seconds += shard_result.parse_seconds
             result.stats.extract_seconds += shard_result.extract_seconds
             result.stats.spilled_bytes += shard_result.spilled_bytes
-        result.stats.merge_seconds = time.perf_counter() - collect_started
         result.documents.sort(key=lambda document: document.doc_id)
         result.stats.documents = len(result.documents)
         result.stats.skipped = len(result.skipped)

@@ -6,7 +6,8 @@ shard of :class:`~repro.build.shard.DocumentSpec`s, parses and tokenizes
 each document, extracts that document's posting skeletons, and returns the
 parsed documents plus either the in-memory skeletons or — when a spill
 directory is configured — the path of the run file it streamed them into
-(see :mod:`repro.storage.runfile`).
+(see :mod:`repro.storage.runfile`); the parent reads such a run back onto
+the result, so every result ends up holding its blocks.
 
 Workers never see the link graph or ElemRank: scores are a global
 computation the parent performs after the fold.  That separation is what
@@ -51,8 +52,8 @@ class ShardResult:
 
     shard_id: int
     documents: List[Document] = field(default_factory=list)
-    #: (doc_id, raw postings) per document, ascending doc id — present only
-    #: when the shard did not spill.
+    #: (doc_id, raw postings) per document, ascending doc id — filled by
+    #: the parent from the run file when the shard spilled.
     raw_postings: List[Tuple[int, RawPostingMap]] = field(default_factory=list)
     #: Run file holding the postings instead, when spilling.
     run_path: Optional[str] = None

@@ -280,9 +280,10 @@ class XRankEngine:
                 count; each document is extracted once per build.
             spill_dir: when set, workers ship their posting skeletons back
                 through CRC-checked run files under this directory instead
-                of the result pipe.  This does not bound memory: parsed
-                documents still come back through the pipe, and every
-                run is read back before the fold.
+                of the result pipe.  Each run is read back once, before
+                the fold; that read checks it, and a damaged run costs its
+                shard a retry.  This does not bound memory: parsed
+                documents still come back through the pipe.
             on_parse_error: ``"raise"`` (default) or ``"skip"`` bad
                 documents when ingesting ``corpus``.  A failed ingestion
                 leaves the engine's documents and built indexes as they

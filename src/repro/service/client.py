@@ -16,7 +16,7 @@ shared freely across load-generator threads without a TCP handshake per
 request.  A pooled connection that went stale while idle (server
 restart, half-closed socket) is detected on use and the call falls back
 to a single fresh per-request connection, not counted against the retry
-budget; ``keep_alive=False`` restores strict per-request connections.
+budget.
 Non-2xx responses raise :class:`repro.errors.ServiceHTTPError` carrying
 the status code and decoded error payload — the body is *always* read
 and surfaced, so a degraded or fault response stays inspectable.
@@ -58,7 +58,6 @@ class ServiceClient:
         retry_seed: int = 0,
         sleep=time.sleep,
         pool_size: int = 8,
-        keep_alive: bool = True,
     ):
         """Args:
             max_retries: retry attempts per request for transient failures.
@@ -72,8 +71,6 @@ class ServiceClient:
             sleep: injectable clock for tests (defaults to time.sleep).
             pool_size: idle keep-alive connections kept for reuse; excess
                 connections are closed on check-in.
-            keep_alive: pool connections across requests (True) or open a
-                fresh connection per request (False, the old behaviour).
         """
         self.host = host
         self.port = port
@@ -89,7 +86,6 @@ class ServiceClient:
         #: Retries performed over the client's lifetime (diagnostics).
         self.retries = 0  # guarded by: self._budget_lock
         self.pool_size = pool_size
-        self.keep_alive = keep_alive
         self._pool_lock = GuardedLock("client.pool")
         self._pool: list = []  # guarded by: self._pool_lock
         #: Keep-alive reuse counters (diagnostics / tests).
@@ -255,8 +251,7 @@ class ServiceClient:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError):
             payload = {"error": raw[:200].decode("utf-8", "replace")}
-        reusable = self.keep_alive and not response.will_close
-        return response.status, payload, reusable
+        return response.status, payload, not response.will_close
 
     # -- connection pool ------------------------------------------------------------
 
@@ -265,19 +260,17 @@ class ServiceClient:
 
     def _checkout(self):
         """An idle pooled connection if any, else a fresh one."""
-        if self.keep_alive:
-            with self._pool_lock:
-                if self._pool:
-                    self.pool_reuses += 1
-                    return self._pool.pop(), True
+        with self._pool_lock:
+            if self._pool:
+                self.pool_reuses += 1
+                return self._pool.pop(), True
         return self._fresh_connection(), False
 
     def _checkin(self, connection: HTTPConnection) -> None:
-        if self.keep_alive:
-            with self._pool_lock:
-                if len(self._pool) < self.pool_size:
-                    self._pool.append(connection)
-                    return
+        with self._pool_lock:
+            if len(self._pool) < self.pool_size:
+                self._pool.append(connection)
+                return
         connection.close()
 
     def close(self) -> None:

@@ -2,17 +2,18 @@
 
 A worker that has extracted posting skeletons for its shard can return
 them through the result pipe or *spill* them to a run file and ship only
-the file path back to the parent, which checksum-scans the file before
-it reads the blocks back.  Spilling keeps the skeletons out of the pipe;
-it does not bound memory, since the worker still returns its parsed
-documents and the parent reads every block back before the fold.
+the file path back to the parent, which reads the file once with
+:func:`read_run`: that one pass checks every block and decodes it.
+Spilling keeps the skeletons out of the pipe; it does not bound memory,
+since the worker still returns its parsed documents and the parent reads
+every block back before the fold.
 
 Format: a run file is a sequence of **document blocks**, written in
 ascending doc-id order (the order the worker processed its shard).  Each
-block is length-prefixed so a reader streams one block at a time without
-loading the file, and carries a CRC32C trailer so corruption (a crashed
-worker's half-written tail, injected bit flips) is detected when the run
-is read rather than silently folded into the index:
+block is length-prefixed and carries a CRC32C trailer, so corruption (a
+crashed worker's half-written tail, injected bit flips) is detected when
+the run is read — as :class:`~repro.errors.CorruptRunError` — rather than
+silently folded into the index:
 
     block  := varint(byte_length) || body || crc32c(body)   [4 bytes LE]
     body   := varint(doc_id) || varint(num_keywords) || keyword_entry*
@@ -28,9 +29,9 @@ build rests on this round-trip being faithful.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterator, Optional, Tuple
+from typing import IO, List, Optional, Tuple
 
-from ..errors import CorruptRunError, StorageError
+from ..errors import CorruptRunError, DeweyError, StorageError
 from ..xmlmodel.dewey import decode_varint, encode_varint
 from .checksum import checksum_frame
 from .records import RecordReader, RecordWriter
@@ -105,62 +106,35 @@ class RunWriter:
         self.close()
 
 
-class RunReader:
-    """Streams document blocks from a run file, one block in memory at a time."""
+def read_run(path) -> List[Tuple[int, dict]]:
+    """Read one run file, check every block and decode it, in one pass.
 
-    def __init__(self, path):
-        self.path = Path(path)
-
-    def __iter__(self) -> Iterator[Tuple[int, dict]]:
-        with self.path.open("rb") as handle:
-            while True:
-                length = _read_varint(handle)
-                if length is None:
-                    return
-                body = handle.read(length)
-                if len(body) != length:
-                    raise StorageError(
-                        f"truncated run-file block in {self.path}"
-                    )
-                trailer = handle.read(_CRC_BYTES)
-                if len(trailer) != _CRC_BYTES:
-                    raise CorruptRunError(
-                        f"missing checksum trailer in {self.path}: "
-                        "run file was truncated mid-block"
-                    )
-                if checksum_frame(body) != trailer:
-                    raise CorruptRunError(
-                        f"checksum mismatch in run-file block of {self.path}:"
-                        " block is torn or bit-rotted"
-                    )
-                yield decode_document_block(body)
-
-
-def _read_varint(handle) -> Optional[int]:
-    """Read one LEB128 varint from a binary stream; None at clean EOF."""
-    first = handle.read(1)
-    if not first:
-        return None
-    buffer = bytearray(first)
-    while buffer[-1] & 0x80:
-        nxt = handle.read(1)
-        if not nxt:
-            raise StorageError("truncated varint in run file")
-        buffer += nxt
-    value, _offset = decode_varint(bytes(buffer), 0)
-    return value
-
-
-def verify_run(path) -> int:
-    """Full-scan validation of one run file; returns its document count.
-
-    Decodes every block (checksums verified by :class:`RunReader`), so any
-    torn tail or bit flip surfaces as :class:`CorruptRunError` *before* the
-    build reads the run's blocks — the gate the parallel build uses to
-    decide whether a shard must be retried.
+    Returns ``(doc_id, raw postings)`` per block in file order.  The file
+    is read with one ``read_bytes``; each block's CRC32C is checked right
+    before its body is decoded, so reading a run is checking it.  Every
+    framing failure — a bad length prefix, a short body, a missing
+    trailer, a checksum mismatch — raises :class:`CorruptRunError`.
     """
-    count = 0
-    for _doc_id, _raw in RunReader(path):
-        count += 1
-    return count
-
+    data = Path(path).read_bytes()
+    blocks = []
+    offset = 0
+    while offset < len(data):
+        try:
+            length, start = decode_varint(data, offset)
+        except DeweyError as exc:
+            raise CorruptRunError(
+                f"bad block length prefix in {path}: {exc}"
+            ) from exc
+        end = start + length
+        trailer = data[end:end + _CRC_BYTES]
+        if len(trailer) != _CRC_BYTES:
+            raise CorruptRunError(f"run file {path} was truncated mid-block")
+        body = data[start:end]
+        if checksum_frame(body) != trailer:
+            raise CorruptRunError(
+                f"checksum mismatch in run-file block of {path}:"
+                " block is torn or bit-rotted"
+            )
+        blocks.append(decode_document_block(body))
+        offset = end + _CRC_BYTES
+    return blocks

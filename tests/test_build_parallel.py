@@ -473,6 +473,35 @@ class TestOneExtractionPerDocument:
         assert sorted(extractions) == sorted(engine.graph.documents)
 
 
+class TestOneReadPerRun:
+    """The shard loop reads each spilled run once; that read is the check."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_decode_per_block(self, monkeypatch, tmp_path, workers):
+        from repro.storage import runfile
+
+        corpus = generate_dblp(num_papers=40, seed=17)
+        sources = [
+            (source, document.uri)
+            for source, document in zip(corpus.sources, corpus.documents)
+        ]
+        decoded = []
+        decode = runfile.decode_document_block
+
+        def counting(body):
+            block = decode(body)
+            decoded.append(block[0])
+            return block
+
+        monkeypatch.setattr(runfile, "decode_document_block", counting)
+        result = build_corpus(
+            specs_from(sources), workers=workers, spill_dir=tmp_path
+        )
+        assert sorted(decoded) == list(range(40))
+        assert sorted(result.raw_postings) == list(range(40))
+        assert list(tmp_path.iterdir()) == []
+
+
 # -- property-based determinism ----------------------------------------------------
 
 _WORDS = st.sampled_from(

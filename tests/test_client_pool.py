@@ -56,18 +56,6 @@ class TestKeepAlivePool:
         client.close()
         assert client._pool == []
 
-    def test_keep_alive_false_restores_per_request_connections(self, served):
-        client = ServiceClient(
-            "127.0.0.1", served.server_address[1], keep_alive=False
-        )
-        try:
-            for _ in range(3):
-                client.search("alpha", m=3)
-            assert client.pool_reuses == 0
-            assert client._pool == []
-        finally:
-            client.close()
-
     def test_stale_pooled_connection_falls_back_transparently(self):
         # A plain bounced server would keep serving established
         # keep-alive sockets from its handler threads; ShardWorker.kill

@@ -424,6 +424,23 @@ class TestBuildRetries:
         assert plan.fires(SITE_RUNFILE_CORRUPT) == 1
         assert result.raw_postings == self._clean().raw_postings
 
+    def test_every_corrupted_byte_costs_the_inline_shard_a_retry(
+        self, tmp_path
+    ):
+        # Wherever the flipped byte lands — a length prefix, a body, a
+        # trailer — reading the run raises CorruptRunError and the shard
+        # is retried, never a plain StorageError escaping the build.
+        clean = self._clean().raw_postings
+        for seed in range(200):
+            plan = FaultPlan(
+                seed, [FaultSpec(SITE_RUNFILE_CORRUPT, 1.0, times=1)]
+            )
+            result = build_corpus(
+                specs_from(_SOURCES), spill_dir=tmp_path, fault_plan=plan
+            )
+            assert result.stats.retries >= 1, seed
+            assert result.raw_postings == clean, seed
+
     def test_persistent_crash_fails_after_capped_attempts(self):
         plan = FaultPlan(3, [FaultSpec(SITE_WORKER_CRASH, 1.0)])
         with pytest.raises(BuildError) as excinfo:

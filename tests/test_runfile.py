@@ -13,13 +13,12 @@ from repro.errors import CorruptRunError, StorageError
 from repro.index.postings import extract_document_raw_postings
 from repro.storage.checksum import checksum_frame
 from repro.storage.runfile import (
-    RunReader,
     RunWriter,
     decode_document_block,
     encode_document_block,
-    verify_run,
+    read_run,
 )
-from repro.xmlmodel.dewey import DeweyId, decode_varint
+from repro.xmlmodel.dewey import DeweyId, decode_varint, encode_varint
 from repro.xmlmodel.parser import parse_xml
 
 
@@ -76,7 +75,7 @@ class TestRunFiles:
         assert writer.documents == 3
         assert writer.bytes_written == path.stat().st_size
 
-        replayed = list(RunReader(path))
+        replayed = read_run(path)
         assert [doc_id for doc_id, _ in replayed] == [0, 1, 2]
         for doc_id, decoded in replayed:
             assert list(decoded) == list(raws[doc_id])
@@ -94,8 +93,8 @@ class TestRunFiles:
         with RunWriter(path) as writer:
             writer.append(0, _raw(0))
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(StorageError):
-            list(RunReader(path))
+        with pytest.raises(CorruptRunError):
+            read_run(path)
 
     def test_bit_flip_detected(self, tmp_path):
         path = tmp_path / "shard.run"
@@ -105,7 +104,7 @@ class TestRunFiles:
         data[len(data) // 2] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptRunError):
-            list(RunReader(path))
+            read_run(path)
 
     def test_missing_trailer_detected(self, tmp_path):
         path = tmp_path / "shard.run"
@@ -113,11 +112,23 @@ class TestRunFiles:
             writer.append(0, _raw(0))
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(CorruptRunError):
-            list(RunReader(path))
+            read_run(path)
 
-    def test_verify_run_counts_documents(self, tmp_path):
+    def test_bad_length_prefix_detected(self, tmp_path):
         path = tmp_path / "shard.run"
         with RunWriter(path) as writer:
-            for doc_id in (0, 1, 2):
-                writer.append(doc_id, _raw(doc_id))
-        assert verify_run(path) == 3
+            writer.append(0, _raw(0))
+            writer.append(1, _raw(1))
+        data = path.read_bytes()
+        length, body_start = decode_varint(data, 0)
+        # Too long, too short, and a varint that runs off the file's end.
+        for prefix in (
+            encode_varint(length + 100_000),
+            encode_varint(length - 1),
+        ):
+            path.write_bytes(prefix + data[body_start:])
+            with pytest.raises(CorruptRunError):
+                read_run(path)
+        path.write_bytes(b"\xff\xff")
+        with pytest.raises(CorruptRunError):
+            read_run(path)
