@@ -87,10 +87,10 @@ def check_btree(tree: BTree, name: str = "btree") -> List[InvariantViolation]:
 
     walk(tree.root_page, 1, None, None)
 
-    if discovered_leaves != tree.leaf_pages:
+    if discovered_leaves != list(tree.leaf_pages):
         bad(
             f"leaf pages reachable from the root {discovered_leaves} differ "
-            f"from the recorded leaf level {tree.leaf_pages}"
+            f"from the recorded leaf level {list(tree.leaf_pages)}"
         )
 
     # Sibling pointers (owned leaves only; external leaves are consecutive

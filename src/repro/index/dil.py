@@ -4,15 +4,20 @@ One inverted list per keyword, containing a posting for every element that
 *directly* contains the keyword, sorted by Dewey ID.  No auxiliary index:
 queries are answered with a single sequential merge pass
 (:mod:`repro.query.dil_eval`).
+
+The lists are located by one :class:`~repro.storage.listfile.ListDirectory`
+(``lists``): ``lists[keyword]`` is a view built per lookup, and rewriting a
+list (:meth:`DILIndex.replace_list`, the incremental delta's write path)
+updates one row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from ..config import StorageParams
 from ..storage.disk import SimulatedDisk
-from ..storage.listfile import ListCursor, ListFile
+from ..storage.listfile import ListCursor, ListDirectory
 from .base import KeywordIndex
 from .postings import Posting, PostingMap
 
@@ -28,16 +33,18 @@ class DILIndex(KeywordIndex):
         disk: Optional[SimulatedDisk] = None,
     ):
         super().__init__(storage_params, disk)
-        self.lists: Dict[str, ListFile] = {}
+        self.lists = ListDirectory(self.disk, "dil")
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.lists = ListDirectory.of(self.disk, "dil", self.lists)
 
     def build(self, postings: PostingMap) -> None:
         """Write each keyword's Dewey-ordered postings as one list file."""
-        self.lists = {}
+        self.lists.clear()
         for keyword in sorted(postings):
             records = [posting.encode() for posting in postings[keyword]]
-            self.lists[keyword] = ListFile.write(
-                self.disk, records, owner=f"dil:{keyword}"
-            )
+            self.lists.write(keyword, records)
         self._mark_built(postings)
 
     def replace_list(self, keyword: str, records: List[bytes]) -> None:
@@ -50,9 +57,7 @@ class DILIndex(KeywordIndex):
             for page_id in old.page_ids:
                 self.disk.free(page_id)
             self._num_postings -= old.num_records
-        self.lists[keyword] = ListFile.write(
-            self.disk, records, owner=f"dil:{keyword}"
-        )
+        self.lists.write(keyword, records)
         self._num_postings += len(records)
 
     # -- keyword surface -----------------------------------------------------------
@@ -67,8 +72,7 @@ class DILIndex(KeywordIndex):
 
     def list_length(self, keyword: str) -> int:
         """Number of postings in the keyword's list (0 if absent)."""
-        list_file = self.lists.get(keyword)
-        return list_file.num_records if list_file else 0
+        return self.lists.num_records(keyword)
 
     # -- access ------------------------------------------------------------------------
 
@@ -89,25 +93,20 @@ class DILIndex(KeywordIndex):
 
     def total_pages(self, keywords: Iterable[str]) -> int:
         """Pages a DIL full scan of these keywords' lists would touch."""
-        return sum(
-            self.lists[k].num_pages for k in keywords if k in self.lists
-        )
+        return sum(self.lists.num_pages(k) for k in keywords)
 
     # -- space reclamation --------------------------------------------------------------
 
     def free_all_lists(self) -> None:
         """Release every list page back to the disk (pre-rebuild compaction)."""
-        for list_file in self.lists.values():
-            for page_id in list_file.page_ids:
-                self.disk.free(page_id)
-        self.lists = {}
+        self.lists.free_all()
         self.built = False
 
     # -- accounting -----------------------------------------------------------------------
 
     @property
     def inverted_list_bytes(self) -> int:
-        return sum(list_file.byte_size for list_file in self.lists.values())
+        return self.lists.total_bytes()
 
     @property
     def index_bytes(self) -> Optional[int]:

@@ -11,8 +11,9 @@ scheme for the Dewey family:
   simulated disk, so one ``disk`` answers I/O totals, fault plans and
   bytes used for the pair, like every other index kind.  An addition
   rewrites only the delta lists of the keywords it contains: each is its
-  kept encoded records plus the new postings, encoded once and appended;
-  the other lists are not touched;
+  kept encoded records plus the new postings, encoded once and appended,
+  and each rewrite moves one row of the delta's list directory; the other
+  lists are not touched;
 * a query cursor reads the main list file, then the delta's.  Because
   document ids are assigned monotonically, every delta Dewey ID is strictly
   greater than every main Dewey ID, so the cursor stays globally

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..config import StorageParams
 from ..storage.hashindex import HashIndex
-from ..storage.listfile import ListCursor, ListFile
+from ..storage.listfile import ListCursor, ListDirectory
 from ..storage.records import RecordReader, RecordWriter
 from ..xmlmodel.dewey import DeweyId
 from ..xmlmodel.graph import CollectionGraph
@@ -109,17 +109,25 @@ def expand_naive_postings(
 
 
 class _NaiveBase(KeywordIndex):
-    """Common build/accounting for the two naive variants."""
+    """Common build/accounting for the two naive variants.
+
+    The lists are located by one :class:`~repro.storage.listfile.ListDirectory`
+    whose pages are owned as ``naive-id:kw`` / ``naive-rank:kw``.
+    """
 
     def __init__(self, storage_params: Optional[StorageParams] = None):
         super().__init__(storage_params)
-        self.lists: Dict[str, ListFile] = {}
+        self.lists = ListDirectory(self.disk, self.kind)
         self.doc_of_elem: Dict[int, int] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.lists = ListDirectory.of(self.disk, self.kind, self.lists)
 
     def _build_lists(
         self, naive_postings: NaivePostingMap, graph: CollectionGraph, by_rank: bool
     ) -> None:
-        self.lists = {}
+        self.lists.clear()
         self.doc_of_elem = {
             i: doc.doc_id for i, doc in enumerate(graph.element_doc)
         }
@@ -129,11 +137,7 @@ class _NaiveBase(KeywordIndex):
                 entries = sorted(
                     entries, key=lambda p: (-p.elemrank, p.elem_id)
                 )
-            self.lists[keyword] = ListFile.write(
-                self.disk,
-                [entry.encode() for entry in entries],
-                owner=f"{self.kind}:{keyword}",
-            )
+            self.lists.write(keyword, [entry.encode() for entry in entries])
 
     def keywords(self) -> Iterable[str]:
         return self.lists.keys()
@@ -142,8 +146,7 @@ class _NaiveBase(KeywordIndex):
         return keyword in self.lists
 
     def list_length(self, keyword: str) -> int:
-        list_file = self.lists.get(keyword)
-        return list_file.num_records if list_file else 0
+        return self.lists.num_records(keyword)
 
     def cursor(self, keyword: str) -> Optional[ListCursor]:
         self._require_built()
@@ -160,7 +163,7 @@ class _NaiveBase(KeywordIndex):
 
     @property
     def inverted_list_bytes(self) -> int:
-        return sum(list_file.byte_size for list_file in self.lists.values())
+        return self.lists.total_bytes()
 
 
 class NaiveIdIndex(_NaiveBase):

@@ -8,6 +8,11 @@ packs several onto one shared page (Section 4.3.1), which the space report
 models by charging each tree its exact bytes, not whole pages
 (:attr:`~repro.storage.btree.BTree.index_bytes`) — pages are not physically
 shared.
+
+The ranked lists are located by one
+:class:`~repro.storage.listfile.ListDirectory` (``lists``), whose lookups
+are views built per call; the trees stay small slotted
+:class:`~repro.storage.btree.BTree` objects, one per keyword.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Dict, Iterable, Optional
 
 from ..config import StorageParams
 from ..storage.btree import BTree
-from ..storage.listfile import ListCursor, ListFile
+from ..storage.listfile import ListCursor, ListDirectory
 from .base import KeywordIndex
 from .postings import PostingMap, rank_order
 
@@ -28,19 +33,20 @@ class RDILIndex(KeywordIndex):
 
     def __init__(self, storage_params: Optional[StorageParams] = None):
         super().__init__(storage_params)
-        self.lists: Dict[str, ListFile] = {}
+        self.lists = ListDirectory(self.disk, "rdil")
         self.btrees: Dict[str, BTree] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.lists = ListDirectory.of(self.disk, "rdil", self.lists)
 
     def build(self, postings: PostingMap) -> None:
         """Write rank-ordered lists and bulk-load one B+-tree per keyword."""
-        self.lists = {}
+        self.lists.clear()
         self.btrees = {}
         for keyword in sorted(postings):
             ranked = rank_order(postings[keyword])
-            records = [posting.encode() for posting in ranked]
-            self.lists[keyword] = ListFile.write(
-                self.disk, records, owner=f"rdil:{keyword}"
-            )
+            self.lists.write(keyword, [posting.encode() for posting in ranked])
         # B+-trees are loaded after all lists so list pages stay consecutive.
         for keyword in sorted(postings):
             entries = [
@@ -62,8 +68,7 @@ class RDILIndex(KeywordIndex):
 
     def list_length(self, keyword: str) -> int:
         """Number of postings in the keyword's list (0 if absent)."""
-        list_file = self.lists.get(keyword)
-        return list_file.num_records if list_file else 0
+        return self.lists.num_records(keyword)
 
     # -- access ---------------------------------------------------------------------------
 
@@ -82,7 +87,7 @@ class RDILIndex(KeywordIndex):
 
     @property
     def inverted_list_bytes(self) -> int:
-        return sum(list_file.byte_size for list_file in self.lists.values())
+        return self.lists.total_bytes()
 
     @property
     def index_bytes(self) -> Optional[int]:

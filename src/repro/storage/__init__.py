@@ -12,7 +12,7 @@ from .btree import BTree, MutableBTree
 from .disk import BufferPool, SimulatedDisk
 from .hashindex import HashIndex
 from .iostats import IOStats
-from .listfile import ListCursor, ListFile, frame_record
+from .listfile import ListCursor, ListDirectory, ListFile, frame_record
 from .records import RecordReader, RecordWriter, pack_into_pages, unpack_page
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "HashIndex",
     "IOStats",
     "ListCursor",
+    "ListDirectory",
     "ListFile",
     "RecordReader",
     "RecordWriter",

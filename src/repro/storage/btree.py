@@ -20,6 +20,12 @@ random reads — the cost RDIL pays for skipping list entries.  The read-only
 parsed keys as component tuples; :class:`MutableBTree` edits what it
 decodes, so it parses on every read.
 
+A :class:`BTree` is a small slotted object: its root, height, byte counts
+and its leaf level as one run of consecutive pages ``(first, count)`` —
+bulk-loaded leaves are allocated as a run, and external leaves are an
+inverted list's pages, which are consecutive by construction.  A leaf's
+neighbours are therefore ``page ± 1`` within the run.
+
 Supported operations: :meth:`ceiling` (smallest entry >= key),
 :meth:`predecessor` (largest entry < key), :meth:`longest_common_prefix`
 (the RDIL probe: deepest ancestor of ``key`` with a descendant in the tree),
@@ -29,11 +35,11 @@ Supported operations: :meth:`ceiling` (smallest entry >= key),
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import BTreeError
 from ..xmlmodel.dewey import DeweyId
-from .disk import SimulatedDisk
+from .disk import SimulatedDisk, page_run
 from .records import RecordReader, RecordWriter
 
 #: Decodes one external leaf page into sorted (key, record) pairs.
@@ -146,6 +152,18 @@ class _ExternalLeafFrame:
 class BTree:
     """Read-only (bulk-loaded) B+-tree over one inverted list."""
 
+    __slots__ = (
+        "disk",
+        "root_page",
+        "height",
+        "num_entries",
+        "internal_bytes",
+        "leaf_bytes",
+        "leaf_first",
+        "leaf_count",
+        "leaf_decoder",
+    )
+
     def __init__(
         self,
         disk: SimulatedDisk,
@@ -154,7 +172,7 @@ class BTree:
         num_entries: int,
         internal_bytes: int,
         leaf_bytes: int,
-        leaf_pages: List[int],
+        leaf_pages: Sequence[int],
         leaf_decoder: Optional[LeafDecoder] = None,
     ):
         self.disk = disk
@@ -163,8 +181,31 @@ class BTree:
         self.num_entries = num_entries
         self.internal_bytes = internal_bytes
         self.leaf_bytes = leaf_bytes
-        self.leaf_pages = leaf_pages
+        self.leaf_first, self.leaf_count = page_run(leaf_pages)
         self.leaf_decoder = leaf_decoder
+
+    def __getstate__(self) -> tuple:
+        # A plain tuple: pickling keeps each state alive until the dump
+        # ends, and a tuple is a fraction of a per-tree dict.
+        return tuple(getattr(self, name) for name in BTree.__slots__)
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, dict):
+            # Engine files before the slotted tree pickled its
+            # ``__dict__``, with the leaf level as a list of page ids.
+            state = dict(state, leaf_decoder=state.get("leaf_decoder"))
+            state.pop("_positions", None)
+            state["leaf_first"], state["leaf_count"] = page_run(
+                state.pop("leaf_pages")
+            )
+            state = tuple(state[name] for name in BTree.__slots__)
+        for name, value in zip(BTree.__slots__, state):
+            setattr(self, name, value)
+
+    @property
+    def leaf_pages(self) -> range:
+        """The leaf level's page ids, in key order."""
+        return range(self.leaf_first, self.leaf_first + self.leaf_count)
 
     # -- construction -----------------------------------------------------------
 
@@ -203,8 +244,8 @@ class BTree:
         if current:
             leaf_groups.append(current)
 
-        # Allocate leaf pages consecutively, then patch sibling pointers.
-        leaf_ids = [disk.allocate(b"") for _ in leaf_groups]
+        # Allocate leaf pages as one run, then patch sibling pointers.
+        leaf_ids = disk.allocate_run([b""] * len(leaf_groups))
         leaf_bytes = 0
         for i, group in enumerate(leaf_groups):
             prev_page = leaf_ids[i - 1] if i > 0 else -1
@@ -256,11 +297,6 @@ class BTree:
             leaf_decoder=leaf_decoder,
         )
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_positions", None)  # derived; rebuilt on first use
-        return state
-
     # -- leaf access ----------------------------------------------------------------
 
     def _leaf_entries(self, page_id: int) -> List[Tuple[DeweyId, bytes]]:
@@ -282,19 +318,11 @@ class BTree:
     def _leaf_neighbors(self, page_id: int) -> Tuple[int, int]:
         """(prev, next) page ids, -1 when absent."""
         if self.leaf_decoder is not None:
-            # External leaves are consecutive list pages.
-            positions = self.__dict__.get("_positions")
-            if positions is None:
-                positions = self._positions = {
-                    page: position for position, page in enumerate(self.leaf_pages)
-                }
-            position = positions[page_id]
-            prev_page = self.leaf_pages[position - 1] if position > 0 else -1
-            next_page = (
-                self.leaf_pages[position + 1]
-                if position + 1 < len(self.leaf_pages)
-                else -1
-            )
+            # External leaves are one run of consecutive list pages.
+            prev_page = page_id - 1 if page_id > self.leaf_first else -1
+            next_page = page_id + 1
+            if next_page >= self.leaf_first + self.leaf_count:
+                next_page = -1
             return prev_page, next_page
         _, _, prev_page, next_page = self._leaf(page_id)
         return prev_page, next_page

@@ -22,17 +22,24 @@ snapshots up to ``page_size`` long.  Reads go through an LRU buffer pool:
 (the B+-tree's internal nodes and leaves) parse each one once per
 buffer-pool residency: the decoded *frame* hangs off the page's pool
 entry and goes when the page does.
+
+Besides the pages, a disk keeps two packed per-page columns: a CRC32C
+(checksummed mode) and the row of the list that owns the page.  The
+owner's name is not stored: :meth:`SimulatedDisk.owner_of` asks the
+:class:`~repro.storage.listfile.ListDirectory` s attached to the disk.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
+import weakref
+from array import array
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, TypeVar
+from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
 from ..config import StorageParams
-from ..errors import CorruptPageError, PageError, ReadFaultError
+from ..errors import CorruptPageError, PageError, ReadFaultError, StorageError
 from .checksum import crc32c
 from .iostats import IOStats
 
@@ -40,6 +47,18 @@ T = TypeVar("T")
 
 #: Returned by :meth:`BufferPool.frame` when no usable frame is kept.
 _NO_FRAME = object()
+
+#: ``_owner_rows`` entry of a page no list owns.
+_NO_ROW = -1
+
+
+def page_run(page_ids: Sequence[int]) -> Tuple[int, int]:
+    """``(first, count)`` of page ids that must be consecutive."""
+    count = len(page_ids)
+    first = page_ids[0] if count else 0
+    if any(page_id != first + i for i, page_id in enumerate(page_ids)):
+        raise StorageError(f"pages {list(page_ids)} are not consecutive")
+    return first, count
 
 
 class BufferPool:
@@ -134,9 +153,15 @@ class SimulatedDisk:
         # Free page ids, kept sorted for consecutive-run search.
         self._free: list = []
         # CRC32C per page, parallel to ``pages`` (checksummed mode only).
-        self._checksums: Optional[list] = [] if self.params.checksums else None
-        # page id -> owning structure label ("dil:xql"), best effort.
-        self._owners: Dict[int, str] = {}
+        self._checksums: Optional[array] = (
+            array("I") if self.params.checksums else None
+        )
+        # Row of the owning list per page, parallel to ``pages``; the
+        # attached directories turn a row into "dil:xql".  Held weakly:
+        # a directory points at its disk, and no cycle may keep a dropped
+        # index's pages alive until the next cyclic collection.
+        self._owner_rows = array("i")
+        self._directories: "weakref.WeakSet" = weakref.WeakSet()
         #: Optional :class:`repro.faults.FaultPlan` consulted on every
         #: buffer-pool miss; None (the default) injects nothing.
         self.fault_plan = None
@@ -147,13 +172,21 @@ class SimulatedDisk:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         del state["_lock"]
+        del state["_directories"]  # each directory re-attaches on load
         return state
 
     def __setstate__(self, state: dict) -> None:
         state.setdefault("_checksums", None)  # pre-checksum pickles
-        state.setdefault("_owners", {})
+        if isinstance(state["_checksums"], list):
+            state["_checksums"] = array("I", state["_checksums"])
+        if "_owner_rows" not in state:
+            # Engine files before the list directories labelled pages in a
+            # dict; the indexes' directories re-assign every list page.
+            state.pop("_owners", None)
+            state["_owner_rows"] = array("i", [_NO_ROW]) * len(state["pages"])
         state.setdefault("fault_plan", None)
         self.__dict__.update(state)
+        self._directories = weakref.WeakSet()
         self._lock = threading.Lock()
 
     # -- allocation / writing ------------------------------------------------------
@@ -166,12 +199,10 @@ class SimulatedDisk:
     def num_pages(self) -> int:
         return len(self.pages)
 
-    def allocate(self, data: bytes = b"", owner: str = "") -> int:
+    def allocate(self, data: bytes = b"") -> int:
         """Allocate a new page initialized with ``data``; returns its id.
 
         Freed pages are reused (smallest id first) before the file grows.
-        ``owner`` labels the page's owning structure so corruption errors
-        can name the inverted list or tree they hit.
         """
         self._check_size(data)
         if self._free:
@@ -180,13 +211,14 @@ class SimulatedDisk:
         else:
             page_id = len(self.pages)
             self.pages.append(bytes(data))
+            self._owner_rows.append(_NO_ROW)
             if self._checksums is not None:
                 self._checksums.append(0)
-        self._record_write(page_id, data, owner)
+        self._record_write(page_id, data)
         self.stats.record_writes()
         return page_id
 
-    def allocate_run(self, pages: list, owner: str = "") -> list:
+    def allocate_run(self, pages: list) -> list:
         """Allocate consecutive page ids for a list of page buffers.
 
         Inverted-list files need consecutive ids so scans stay sequential;
@@ -202,8 +234,9 @@ class SimulatedDisk:
         if run_start is None:
             first = len(self.pages)
             self.pages.extend(bytes(p) for p in pages)
+            self._owner_rows.extend(array("i", [_NO_ROW]) * count)
             if self._checksums is not None:
-                self._checksums.extend(0 for _ in range(count))
+                self._checksums.extend(array("I", [0]) * count)
             ids = list(range(first, first + count))
         else:
             ids = list(range(run_start, run_start + count))
@@ -212,20 +245,36 @@ class SimulatedDisk:
             for page_id, data in zip(ids, pages):
                 self.pages[page_id] = bytes(data)
         for page_id, data in zip(ids, pages):
-            self._record_write(page_id, data, owner)
+            self._record_write(page_id, data)
         self.stats.record_writes(count)
         return ids
 
-    def _record_write(self, page_id: int, data: bytes, owner: str = "") -> None:
-        """Maintain the checksum and owner tables for one written page."""
+    def _record_write(self, page_id: int, data: bytes) -> None:
+        """Maintain the checksum column for one written page."""
         if self._checksums is not None:
             self._checksums[page_id] = crc32c(bytes(data))
-        if owner:
-            self._owners[page_id] = owner
+
+    # -- ownership ------------------------------------------------------------------
+
+    def attach(self, directory) -> None:
+        """Let ``directory`` name the owners of the pages it assigns, for
+        as long as it lives."""
+        self._directories.add(directory)
+
+    def assign_owner(self, first: int, count: int, row: int) -> None:
+        """Mark pages ``first .. first+count-1`` as held by directory row ``row``."""
+        self._owner_rows[first : first + count] = array("i", [row]) * count
 
     def owner_of(self, page_id: int) -> str:
-        """The owning structure label for a page ("" when unlabeled)."""
-        return self._owners.get(page_id, "")
+        """The owning list's label, ``"dil:xql"`` ("" for any other page)."""
+        if 0 <= page_id < len(self._owner_rows):
+            row = self._owner_rows[page_id]
+            if row != _NO_ROW:
+                for directory in self._directories:
+                    owner = directory.owner(row, page_id)
+                    if owner:
+                        return owner
+        return ""
 
     def _find_free_run(self, count: int):
         """Smallest start of ``count`` consecutive free page ids, or None."""
@@ -251,7 +300,7 @@ class SimulatedDisk:
         self.pages[page_id] = b""
         if self._checksums is not None:
             self._checksums[page_id] = crc32c(b"")
-        self._owners.pop(page_id, None)
+        self._owner_rows[page_id] = _NO_ROW
         with self._lock:
             self.pool.evict(page_id)
         bisect.insort(self._free, page_id)
@@ -260,12 +309,12 @@ class SimulatedDisk:
     def num_free_pages(self) -> int:
         return len(self._free)
 
-    def write(self, page_id: int, data: bytes, owner: str = "") -> None:
+    def write(self, page_id: int, data: bytes) -> None:
         """Overwrite an existing page."""
         self._check_page_id(page_id)
         self._check_size(data)
         self.pages[page_id] = bytes(data)
-        self._record_write(page_id, data, owner)
+        self._record_write(page_id, data)
         self.stats.record_writes()
         with self._lock:
             self.pool.touch(page_id)

@@ -56,13 +56,21 @@ def encode_document_block(doc_id: int, raw) -> bytes:
 
 
 def decode_document_block(body: bytes):
-    """Inverse of :func:`encode_document_block` (body without the frame)."""
+    """Inverse of :func:`encode_document_block` (body without the frame).
+
+    Malformed bodies raise :class:`~repro.errors.StorageError` (or the
+    varint codec's :class:`~repro.errors.DeweyError`), never a bare
+    decoding error.
+    """
     reader = RecordReader(body)
     doc_id = reader.uint()
     num_keywords = reader.uint()
     raw = {}
     for _ in range(num_keywords):
-        keyword = reader.bytes_field().decode("utf-8")
+        try:
+            keyword = reader.bytes_field().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StorageError(f"run-file keyword is not UTF-8: {exc}") from None
         count = reader.uint()
         entries = []
         for _ in range(count):

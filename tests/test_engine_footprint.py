@@ -1,12 +1,17 @@
 """What a built engine keeps: its indexes, not the posting map they came from.
 
 After ``build`` no :class:`Posting` is reachable from an engine — queries
-read the built lists — and a graph holds one string object per distinct
-word.  Both are memory properties, so the tests walk the object graph
-with :func:`gc.get_referents` instead of trusting attribute names.
+read the built lists — no :class:`ListFile` outlives a lookup (each index
+locates its lists through one packed directory), and a graph holds one
+string object per distinct word.  These are memory properties, so the
+tests walk the object graph with :func:`gc.get_referents` instead of
+trusting attribute names.
 """
 
+import copyreg
 import gc
+import io
+import pickle
 import sys
 import types
 
@@ -17,9 +22,13 @@ from repro.build.verify import default_probe_queries
 from repro.cluster import LocalCluster
 from repro.datasets.dblp import generate_dblp
 from repro.durability.format import decode_part
-from repro.engine import XRankEngine
+from repro.datasets.workloads import document_frequencies
+from repro.engine import INDEX_KINDS, XRankEngine
 from repro.index.builder import IndexBuilder
 from repro.index.postings import Posting, extract_direct_postings
+from repro.storage.btree import BTree
+from repro.storage.disk import SimulatedDisk
+from repro.storage.listfile import ListDirectory, ListFile
 
 #: Never walked into: a class or module leads to every global of the process.
 _OPAQUE = (
@@ -127,6 +136,155 @@ class TestNoPostingsAfterBuild:
         restored = XRankEngine.load(path)
         assert reachable(restored, Posting) == 0
         assert answers(restored, queries) == answers(built, queries)
+
+
+# -- one packed directory per index ------------------------------------------------
+
+#: The directories of each index kind, and the owner label of their pages.
+LABELS = {
+    "dil": {"lists": "dil"},
+    "rdil": {"lists": "rdil"},
+    "hdil": {"full_lists": "hdil", "ranked_heads": "hdil-head"},
+    "naive-id": {"lists": "naive-id"},
+    "naive-rank": {"lists": "naive-rank"},
+}
+
+
+def expected_owners(index):
+    """Every page's owner by the rule engine files have always followed:
+    ``label:keyword`` for an inverted-list page, "" for any other page."""
+    owners = [""] * len(index.disk.pages)
+    parts = [index.main, index.delta] if index.kind == "dil-incremental" else [index]
+    for part in filter(None, parts):
+        for attribute, label in LABELS[part.kind].items():
+            for keyword, list_file in getattr(part, attribute).items():
+                for page_id in list_file.page_ids:
+                    owners[page_id] = f"{label}:{keyword}"
+    return owners
+
+
+def owners_of(index):
+    return [index.disk.owner_of(page_id) for page_id in range(len(index.disk.pages))]
+
+
+def frequent_queries(engine):
+    frequencies = document_frequencies(engine.graph)
+    frequent = sorted(frequencies, key=lambda w: (-frequencies[w], w))[:4]
+    return frequent + [" ".join(frequent[:2])]
+
+
+class _ParentShapedPickler(pickle.Pickler):
+    """Pickles an engine the way engine files were written before the list
+    directories: each index's lists as a ``{keyword: ListFile}`` dict of
+    ``__dict__`` states, each B+-tree's leaf level as a list of page ids,
+    and each disk's page owners as a dict of label strings."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, ListDirectory):
+            return dict, (), None, None, iter(obj.items())
+        if isinstance(obj, ListFile):
+            state = {name: getattr(obj, name) for name in ListFile.__slots__}
+            state["page_ids"] = list(obj.page_ids)
+            return copyreg.__newobj__, (ListFile,), state
+        if isinstance(obj, BTree):
+            state = {name: getattr(obj, name) for name in BTree.__slots__}
+            del state["leaf_first"], state["leaf_count"]
+            state["leaf_pages"] = list(obj.leaf_pages)
+            return copyreg.__newobj__, (BTree,), state
+        if isinstance(obj, SimulatedDisk):
+            state = obj.__getstate__()
+            del state["_owner_rows"]
+            owners = {page_id: obj.owner_of(page_id) for page_id in range(len(obj.pages))}
+            state["_owners"] = {page_id: o for page_id, o in owners.items() if o}
+            if state["_checksums"] is not None:
+                state["_checksums"] = list(state["_checksums"])
+            return copyreg.__newobj__, (SimulatedDisk,), state
+        return NotImplemented
+
+
+def parent_shaped_dumps(engine) -> bytes:
+    buffer = io.BytesIO()
+    _ParentShapedPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(engine)
+    return buffer.getvalue()
+
+
+@pytest.fixture(scope="module")
+def six_kinds():
+    engine = XRankEngine()
+    engine.build(kinds=INDEX_KINDS, corpus=generate_dblp(40, seed=17))
+    return engine
+
+
+class TestNoListObjectOutlivesALookup:
+    def test_the_walk_sees_a_list_file(self, six_kinds):
+        view = six_kinds.index("dil").lists[frequent_queries(six_kinds)[0]]
+        assert reachable([view], ListFile) == 1
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_after_build_and_a_search(self, six_kinds, kind):
+        assert reachable(six_kinds.index(kind), ListFile) == 0
+        for query in frequent_queries(six_kinds):
+            assert six_kinds.search(query, m=10, kind=kind)
+        assert reachable(six_kinds, ListFile) == 0
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_owners_follow_the_lists(self, six_kinds, kind):
+        index = six_kinds.index(kind)
+        owners = owners_of(index)
+        assert owners == expected_owners(index)
+        assert any(owners)
+
+    def test_restored_from_parent_shaped_state(self, six_kinds):
+        payload = parent_shaped_dumps(six_kinds)
+        assert b"_owners" in payload and b"leaf_pages" in payload
+        restored = pickle.loads(payload)
+        assert reachable(restored, ListFile) == 0
+        assert reachable(restored, dict) > 0
+        queries = frequent_queries(six_kinds)
+        assert answers(restored, queries, INDEX_KINDS) == answers(
+            six_kinds, queries, INDEX_KINDS
+        )
+        for kind in INDEX_KINDS:
+            old, new = six_kinds.index(kind), restored.index(kind)
+            assert new.disk.pages == old.disk.pages
+            assert owners_of(new) == owners_of(old)
+        assert reachable(restored, ListFile) == 0
+
+    def test_owners_after_rewrites_adds_a_delete_and_a_merge(self):
+        engine = XRankEngine()
+        engine.build(
+            kinds=("dil", "dil-incremental"), corpus=generate_dblp(40, seed=17)
+        )
+        dil = engine.index("dil")
+        keyword, other = frequent_queries(engine)[:2]
+        records = list(dil.lists[keyword].scan())
+        (freed,) = dil.lists[other].page_ids
+        dil.replace_list(other, records * 40)  # a longer run elsewhere
+        assert dil.lists[other].num_pages > 1
+        assert owners_of(dil) == expected_owners(dil)
+        assert owners_of(dil)[freed] == ""
+        dil.replace_list("zzznew", records[:3])  # reuses the freed page
+        assert owners_of(dil)[freed] == "dil:zzznew"
+        dil.replace_list(keyword, records[: len(records) // 2])
+        assert owners_of(dil) == expected_owners(dil)
+        assert dil.list_length(keyword) == len(records) // 2
+
+        incremental = engine.index("dil-incremental")
+        for i in range(3):
+            engine.add_xml_incremental(f"<p><t>fresh {i} {keyword}</t></p>")
+        engine.delete_document(3)
+        engine.add_xml_incremental(f"<p><t>later {keyword} {other}</t></p>")
+        assert incremental.delta is not None
+        assert owners_of(incremental) == expected_owners(incremental)
+        restored = pickle.loads(parent_shaped_dumps(engine))
+        assert owners_of(restored.index("dil-incremental")) == owners_of(incremental)
+        assert owners_of(restored.index("dil")) == owners_of(dil)
+
+        engine.merge_incremental()
+        assert incremental.delta is None
+        assert owners_of(incremental) == expected_owners(incremental)
+        assert len(incremental.disk._directories) == 1
+        assert reachable(engine, ListFile) == 0
 
 
 def _word_objects(graph):

@@ -41,6 +41,7 @@ from repro.service.breaker import FALLBACK_KIND, CircuitBreaker
 from repro.service.client import ServiceClient
 from repro.storage.checksum import checksum_frame, crc32c
 from repro.storage.disk import SimulatedDisk
+from repro.storage.listfile import ListDirectory
 
 
 # -- FaultPlan ---------------------------------------------------------------------
@@ -158,7 +159,7 @@ class TestDiskFaults:
     def test_transient_read_error_retried_in_place(self):
         plan = FaultPlan(1, [FaultSpec(SITE_READ_ERROR, 1.0, times=1)])
         disk = self._disk(plan)
-        pid = disk.allocate(b"payload", owner="dil:test")
+        pid = disk.allocate(b"payload")
         assert disk.read(pid) == b"payload"
         assert disk.stats.read_errors == 1
         assert disk.stats.retries == 1
@@ -175,7 +176,8 @@ class TestDiskFaults:
     def test_bitflip_detected_by_checksum_with_owner(self):
         plan = FaultPlan(2, [FaultSpec(SITE_READ_BITFLIP, 1.0, times=1)])
         disk = self._disk(plan)
-        pid = disk.allocate(b"x" * 64, owner="hdil:keyword")
+        lists = ListDirectory(disk, "hdil")
+        (pid,) = lists.write("keyword", [b"x" * 64]).page_ids
         # Bit rot is persistent: the retry re-reads the damaged page and
         # the checksum fails again, so the error escapes.
         with pytest.raises(CorruptPageError) as excinfo:
@@ -208,8 +210,10 @@ class TestDiskFaults:
 
     def test_owner_labels_recorded(self):
         disk = SimulatedDisk()
-        pid = disk.allocate(b"data", owner="rdil:xml")
+        lists = ListDirectory(disk, "rdil")
+        (pid,) = lists.write("xml", [b"data"]).page_ids
         assert disk.owner_of(pid) == "rdil:xml"
+        assert disk.owner_of(disk.allocate(b"tree page")) == ""
 
     def test_clean_disk_unaffected_by_no_faults(self):
         disk = self._disk(NO_FAULTS)

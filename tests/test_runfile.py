@@ -7,8 +7,11 @@ insertion order, Dewey IDs and position lists.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro import errors
 from repro.errors import CorruptRunError, StorageError
 from repro.index.postings import extract_document_raw_postings
 from repro.storage.checksum import checksum_frame
@@ -63,6 +66,19 @@ class TestBlockCodec:
         body = _unframe(encode_document_block(1, raw))
         with pytest.raises(StorageError):
             decode_document_block(body + b"\x00")
+
+
+    def test_random_bodies_raise_only_typed_errors(self):
+        """A body that passed its CRC but is garbage (a collision, a
+        hand-made file) fails with a ``repro.errors`` class — a keyword
+        that is not UTF-8 included."""
+        rng = random.Random(1)
+        for _ in range(20_000):
+            body = bytes(rng.randrange(256) for _ in range(rng.randint(1, 40)))
+            try:
+                decode_document_block(body)
+            except Exception as exc:  # noqa: BLE001 - the type is the test
+                assert type(exc).__module__ == errors.__name__, repr(exc)
 
 
 class TestRunFiles:
