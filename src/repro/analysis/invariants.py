@@ -136,7 +136,10 @@ def check_frames(engine) -> List[InvariantViolation]:
     :meth:`~repro.storage.disk.SimulatedDisk.read_decoded` serves a frame
     only for the very bytes object it was decoded from, so a frame kept
     for other bytes (a torn copy, a page rewritten since) is never served
-    and is skipped here.  Run it after queries have warmed the pools.
+    and is skipped here.  A leaf frame compares field by field — key
+    tuples, payload spans, page bytes, leaf chain — so one equal to a
+    fresh decode builds exactly the entries the decoder would.  Run it
+    after queries have warmed the pools.
     """
     violations: List[InvariantViolation] = []
     for kind, index in sorted(engine._indexes.items()):

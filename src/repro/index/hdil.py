@@ -27,27 +27,52 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import HDILParams, StorageParams
-from ..errors import IndexError_
-from ..storage.btree import BTree
-from ..storage.listfile import ListCursor, ListDirectory, page_records
-from ..xmlmodel.dewey import DeweyId
+from ..errors import DeweyError, IndexError_, StorageError
+from ..storage.btree import BTree, LeafFrame
+from ..storage.listfile import ListCursor, ListDirectory
+from ..xmlmodel.dewey import DeweyId, decode_components, decode_varint
 from .base import KeywordIndex
 from .postings import Posting, PostingMap, rank_order
 
 
-def decode_list_page(page: bytes) -> List[Tuple[DeweyId, bytes]]:
-    """Turn a raw list page into (dewey, full posting record) pairs.
+def list_page_frame(page: bytes) -> LeafFrame:
+    """One pass over a list page: each record's Dewey ID and byte span.
 
     This is the external-leaf decoder handed to the B+-tree: postings start
-    with their Dewey ID, so the list page is self-describing.
+    with their Dewey ID, so the list page is self-describing.  Its entries
+    are (dewey, full posting record) pairs, as :func:`decode_list_page`
+    returns them.
     """
-    return [
-        (DeweyId.decode(record, 0)[0], record) for record in page_records(page)
-    ]
+    count, pos = decode_varint(page, 0)
+    size = len(page)
+    starts: List[int] = []
+    ends: List[int] = []
+    # Every record is framed before the first Dewey ID is read, as
+    # ListFile scans frame them.
+    for _ in range(count):
+        length, pos = decode_varint(page, pos)
+        end = pos + length
+        if end > size:
+            raise StorageError("truncated record in list page")
+        starts.append(pos)
+        ends.append(end)
+        pos = end
+    keys: List[Tuple[int, ...]] = []
+    for start, end in zip(starts, ends):
+        key, key_end = decode_components(page, start)
+        if key_end > end:
+            raise DeweyError("truncated varint")
+        keys.append(key)
+    return LeafFrame(keys, starts, ends, page)
+
+
+def decode_list_page(page: bytes) -> List[Tuple[DeweyId, bytes]]:
+    """Turn a raw list page into (dewey, full posting record) pairs."""
+    return list_page_frame(page).entries()
 
 
 def decode_leaf_entry(_key: DeweyId, record: bytes) -> Posting:
-    """Decode one :func:`decode_list_page` entry: a complete posting record."""
+    """Decode one external-leaf entry: a complete posting record."""
     return Posting.decode(record)
 
 
@@ -73,6 +98,10 @@ class HDILIndex(KeywordIndex):
         self.ranked_heads = ListDirectory.of(
             self.disk, "hdil-head", self.ranked_heads
         )
+        # Engine files from before leaf frames name decode_list_page.
+        for tree in self.btrees.values():
+            if tree.leaf_decoder is decode_list_page:
+                tree.leaf_decoder = list_page_frame
 
     def build(self, postings: PostingMap) -> None:
         """Write full lists, ranked heads, and external-leaf B+-trees."""
@@ -107,7 +136,7 @@ class HDILIndex(KeywordIndex):
             self.btrees[keyword] = BTree.build_over_pages(
                 self.disk,
                 page_index,
-                leaf_decoder=decode_list_page,
+                leaf_decoder=list_page_frame,
                 num_entries=len(postings[keyword]),
             )
         self._mark_built(postings)

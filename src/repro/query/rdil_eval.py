@@ -22,6 +22,7 @@ attached (Section 4.4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..config import RankingParams
@@ -30,7 +31,7 @@ from ..index.postings import Posting
 from ..index.rdil import RDILIndex
 from ..obs.profile import active_profile
 from ..storage.btree import BTree
-from ..xmlmodel.dewey import DeweyId
+from ..xmlmodel.dewey import DeweyId, _trusted
 from .merge import conjunctive_merge, single_keyword_top_m
 from .results import Accept, QueryResult, ResultHeap, validate_query
 from .streams import PostingStream
@@ -116,33 +117,39 @@ class RankedProbeLoop:
         """
         heap = ResultHeap(m, accept)
         self.state.heap = heap
+        streams = self.streams
         robin = 0
         while True:
             if deadline is not None and deadline.poll():
                 return heap.results(), True
-            if self._stop_condition(heap, m):
+            threshold = self._threshold()
+            self.state.threshold = threshold
+            if heap.full and heap.kth_rank() >= threshold:
                 return heap.results(), True
             source = self._next_live_stream(robin)
             if source is None:
-                # Every stream is exhausted.
-                if exhaustion_is_complete:
+                # Every stream is exhausted.  Full lists have shown every
+                # entry; truncated heads leave the rest to the caller.
+                if exhaustion_is_complete or not self.truncated_streams:
                     return heap.results(), True
                 return heap.results(), False
             robin = source + 1
-            posting = self.streams[source].next()
+            stream = streams[source]
+            posting = stream.next()
             self.state.entries_read += 1
             if self._profile is not None:
                 self._profile.rdil_entries_read += 1
-            if not self.streams[source].eof:
-                self.current_ranks[source] = self.streams[source].peek().elemrank
+            if not stream.eof:
+                self.current_ranks[source] = stream.peek().elemrank
             elif self.truncated_streams:
                 self.current_ranks[source] = posting.elemrank
             else:
                 self.current_ranks[source] = 0.0
             self._probe(posting, heap, deadline)
-            self._update_state(heap)
-            if monitor is not None and not monitor(self.state):
-                return heap.results(), False
+            if monitor is not None:
+                self._update_state(heap)
+                if not monitor(self.state):
+                    return heap.results(), False
 
     # -- loop pieces ----------------------------------------------------------------
 
@@ -153,36 +160,32 @@ class RankedProbeLoop:
                 return index
         return None
 
-    def _stop_condition(self, heap: ResultHeap, m: int) -> bool:
-        threshold = self._threshold()
-        self.state.threshold = threshold
-        if not self.truncated_streams and all(s.eof for s in self.streams):
-            return True  # full lists exhausted: everything has been seen
-        return heap.full and heap.kth_rank() >= threshold
-
     def _threshold(self) -> float:
-        return sum(w * r for w, r in zip(self.weights, self.current_ranks))
+        return sum(map(mul, self.weights, self.current_ranks))
 
     def _update_state(self, heap: ResultHeap) -> None:
+        """What the monitor reads after a step (only a monitored loop
+        keeps it current: nothing else reads it mid-run)."""
         threshold = self._threshold()
         self.state.threshold = threshold
-        self.state.results_above_threshold = sum(
-            1 for result in heap.results() if result.rank >= threshold
-        )
+        self.state.results_above_threshold = heap.count_at_least(threshold)
 
     def _probe(self, posting: Posting, heap: ResultHeap, deadline=None) -> None:
         """Compute the lcp candidate for one entry and qualify it."""
         lcp = posting.dewey
-        for j in range(self.n):
-            self.state.probes += 1
-            if self._profile is not None:
-                self._profile.rdil_probes += 1
-            shared = self.btrees[j].longest_common_prefix(lcp)
+        probes = 0
+        for tree in self.btrees:
+            probes += 1
+            shared = tree.longest_common_prefix(lcp)
             if shared == 0:
-                return
+                lcp = None
+                break
             if shared < len(lcp):
-                lcp = lcp.prefix(shared)
-        if lcp.components in self._processed:
+                lcp = _trusted(lcp.components[:shared])
+        self.state.probes += probes
+        if self._profile is not None:
+            self._profile.rdil_probes += probes
+        if lcp is None or lcp.components in self._processed:
             return
         self._processed.add(lcp.components)
         result = self._qualify(lcp, deadline)

@@ -152,6 +152,10 @@ class ResultHeap:
             return float("-inf")
         return self._heap[0].rank
 
+    def count_at_least(self, rank: float) -> int:
+        """How many held results rank at or above ``rank``."""
+        return sum(1 for entry in self._heap if entry.rank >= rank)
+
     def results(self) -> List[QueryResult]:
         """Contents sorted by descending rank; ties in Dewey order.
 

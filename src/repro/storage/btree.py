@@ -16,9 +16,11 @@ Keys are :class:`DeweyId` values compared component-wise (document order).
 All node accesses go through the simulated disk, so probes are charged as
 random reads — the cost RDIL pays for skipping list entries.  The read-only
 :class:`BTree` parses each page once per buffer-pool residency
-(:meth:`~repro.storage.disk.SimulatedDisk.read_decoded`) and searches the
-parsed keys as component tuples; :class:`MutableBTree` edits what it
-decodes, so it parses on every read.
+(:meth:`~repro.storage.disk.SimulatedDisk.read_decoded`) into a frame of
+keys, and searches them as component tuples; a leaf entry's
+(key, payload) pair is built only when a probe takes it
+(:class:`LeafFrame`).  :class:`MutableBTree` edits what it decodes, so it
+parses on every read.
 
 A :class:`BTree` is a small slotted object: its root, height, byte counts
 and its leaf level as one run of consecutive pages ``(first, count)`` —
@@ -28,22 +30,25 @@ neighbours are therefore ``page ± 1`` within the run.
 
 Supported operations: :meth:`ceiling` (smallest entry >= key),
 :meth:`predecessor` (largest entry < key), :meth:`longest_common_prefix`
-(the RDIL probe: deepest ancestor of ``key`` with a descendant in the tree),
+(the RDIL probe: deepest ancestor of ``key`` with a descendant in the tree;
+one descent yields both its candidates),
 :meth:`range_scan` and :meth:`scan_subtree`.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import BTreeError
-from ..xmlmodel.dewey import DeweyId
+from ..errors import BTreeError, DeweyError, StorageError
+from ..xmlmodel.dewey import (
+    DeweyId, _trusted, decode_components, decode_varint, varint_tail,
+)
 from .disk import SimulatedDisk, page_run
-from .records import RecordReader, RecordWriter
+from .records import RecordWriter
 
-#: Decodes one external leaf page into sorted (key, record) pairs.
-LeafDecoder = Callable[[bytes], List[Tuple[DeweyId, bytes]]]
+#: Decodes one external leaf page into its :class:`LeafFrame`.
+LeafDecoder = Callable[[bytes], "LeafFrame"]
 
 _LEAF = 0
 _INTERNAL = 1
@@ -74,15 +79,8 @@ def _leaf_page(
 
 
 def _decode_leaf(page: bytes) -> Tuple[int, int, List[Tuple[DeweyId, bytes]]]:
-    reader = RecordReader(page)
-    flag = reader.uint()
-    if flag != _LEAF:
-        raise BTreeError("expected a leaf page")
-    prev_page = reader.uint() - 1
-    next_page = reader.uint() - 1
-    count = reader.uint()
-    entries = [(reader.dewey(), reader.bytes_field()) for _ in range(count)]
-    return prev_page, next_page, entries
+    frame = _leaf_frame(page)
+    return frame.prev_page, frame.next_page, frame.entries()
 
 
 def _encode_internal(entries: List[Tuple[DeweyId, int]]) -> bytes:
@@ -96,12 +94,8 @@ def _encode_internal(entries: List[Tuple[DeweyId, int]]) -> bytes:
 
 
 def _decode_internal(page: bytes) -> List[Tuple[DeweyId, int]]:
-    reader = RecordReader(page)
-    flag = reader.uint()
-    if flag != _INTERNAL:
-        raise BTreeError("expected an internal page")
-    count = reader.uint()
-    return [(reader.dewey(), reader.uint()) for _ in range(count)]
+    keys, children = _internal_frame(page)
+    return [(_trusted(key), child) for key, child in zip(keys, children)]
 
 
 # Frames: what a probe needs of a page, kept by SimulatedDisk.read_decoded
@@ -111,42 +105,89 @@ def _decode_internal(page: bytes) -> List[Tuple[DeweyId, int]]:
 
 def _internal_frame(page: bytes) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """(separator key tuples, child page ids) of an internal page."""
-    children = _decode_internal(page)
-    return [key.components for key, _ in children], [child for _, child in children]
+    flag, pos = decode_varint(page, 0)
+    if flag != _INTERNAL:
+        raise BTreeError("expected an internal page")
+    count, pos = decode_varint(page, pos)
+    keys: List[Tuple[int, ...]] = []
+    children: List[int] = []
+    for _ in range(count):
+        key, pos = decode_components(page, pos)
+        child, pos = decode_varint(page, pos)
+        keys.append(key)
+        children.append(child)
+    return keys, children
 
 
-def _leaf_frame(page: bytes):
-    """(key tuples, entries, prev page, next page) of an owned leaf."""
-    prev_page, next_page, entries = _decode_leaf(page)
-    return [key.components for key, _ in entries], entries, prev_page, next_page
+class LeafFrame(NamedTuple):
+    """One leaf page as a probe reads it: its keys, and where each entry's
+    payload lies in the page.
 
-
-class _ExternalLeafFrame:
-    """:func:`_leaf_frame` for an external leaf, whose neighbours come
-    from :attr:`BTree.leaf_pages` instead.
-
-    Equal per leaf decoder, so it is a stable frame key; it holds the
-    decoder and not the tree, so a kept frame never keeps its tree (and
-    with it the disk) alive.
+    ``keys`` are the entries' Dewey IDs as component tuples, in order;
+    entry ``i``'s payload is ``page[starts[i]:ends[i]]``.  An entry is
+    built only when a probe or scan takes it (:meth:`entry`).  A kept
+    frame is shared between threads, so nothing in it is filled in later.
+    ``prev_page``/``next_page`` are an owned leaf's stored chain (-1 when
+    absent; external leaves store none).  :class:`BTree` walks its leaf
+    run as ``page ± 1`` instead; the validators check the chain.
     """
 
-    __slots__ = ("leaf_decoder",)
+    keys: List[Tuple[int, ...]]
+    starts: List[int]
+    ends: List[int]
+    page: bytes
+    prev_page: int = -1
+    next_page: int = -1
 
-    def __init__(self, leaf_decoder: "LeafDecoder"):
-        self.leaf_decoder = leaf_decoder
-
-    def __call__(self, page: bytes):
-        entries = self.leaf_decoder(page)
-        return [key.components for key, _ in entries], entries, -1, -1
-
-    def __eq__(self, other: object) -> bool:
+    def entry(self, position: int) -> Tuple[DeweyId, bytes]:
+        """The (key, payload) pair at ``position``."""
         return (
-            isinstance(other, _ExternalLeafFrame)
-            and other.leaf_decoder == self.leaf_decoder
+            _trusted(self.keys[position]),
+            self.page[self.starts[position] : self.ends[position]],
         )
 
-    def __hash__(self) -> int:
-        return hash(self.leaf_decoder)
+    def entries(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> List[Tuple[DeweyId, bytes]]:
+        """The (key, payload) pairs from ``start`` up to ``stop``."""
+        page = self.page
+        return [
+            (_trusted(key), page[begin:end])
+            for key, begin, end in zip(
+                self.keys[start:stop], self.starts[start:stop], self.ends[start:stop]
+            )
+        ]
+
+
+def _leaf_frame(page: bytes) -> LeafFrame:
+    """One pass over an owned leaf page: key tuples and payload spans."""
+    flag, pos = decode_varint(page, 0)
+    if flag != _LEAF:
+        raise BTreeError("expected a leaf page")
+    prev_page, pos = decode_varint(page, pos)
+    next_page, pos = decode_varint(page, pos)
+    count, pos = decode_varint(page, pos)
+    size = len(page)
+    keys: List[Tuple[int, ...]] = []
+    starts: List[int] = []
+    ends: List[int] = []
+    try:
+        for _ in range(count):
+            key, pos = decode_components(page, pos)
+            length = page[pos]
+            pos += 1
+            if length > 0x7F:
+                length, pos = varint_tail(page, pos, length)
+            end = pos + length
+            if end > size:
+                raise StorageError("truncated bytes field")
+            keys.append(key)
+            starts.append(pos)
+            ends.append(end)
+            pos = end
+    except IndexError:
+        raise DeweyError("truncated varint") from None
+    return LeafFrame(keys, starts, ends, page, prev_page - 1, next_page - 1)
 
 
 class BTree:
@@ -303,77 +344,98 @@ class BTree:
         """A leaf's entries decoded afresh from the disk (validators' path)."""
         page = self.disk.read(page_id)
         if self.leaf_decoder is not None:
-            return self.leaf_decoder(page)
-        _, _, entries = _decode_leaf(page)
-        return entries
+            return self.leaf_decoder(page).entries()
+        return _leaf_frame(page).entries()
 
-    def _leaf(self, page_id: int):
-        """The leaf's frame: (key tuples, entries, prev page, next page)."""
+    def _leaf(self, page_id: int) -> LeafFrame:
+        """The leaf's frame, decoded once per pool residency.
+
+        An external leaf's frame is keyed by the tree's decoder, a module
+        function that holds no reference to the tree, so a kept frame
+        never keeps its tree (and with it the disk) alive.
+        """
         if self.leaf_decoder is not None:
-            return self.disk.read_decoded(
-                page_id, _ExternalLeafFrame(self.leaf_decoder)
-            )
+            return self.disk.read_decoded(page_id, self.leaf_decoder)
         return self.disk.read_decoded(page_id, _leaf_frame)
 
-    def _leaf_neighbors(self, page_id: int) -> Tuple[int, int]:
-        """(prev, next) page ids, -1 when absent."""
-        if self.leaf_decoder is not None:
-            # External leaves are one run of consecutive list pages.
-            prev_page = page_id - 1 if page_id > self.leaf_first else -1
-            next_page = page_id + 1
-            if next_page >= self.leaf_first + self.leaf_count:
-                next_page = -1
-            return prev_page, next_page
-        _, _, prev_page, next_page = self._leaf(page_id)
-        return prev_page, next_page
+    def _next_leaf(self, page_id: int) -> int:
+        """The page id after leaf ``page_id`` in the run, -1 at the end."""
+        page_id += 1
+        return page_id if page_id < self.leaf_first + self.leaf_count else -1
 
-    def _descend(self, key: Tuple[int, ...]) -> int:
-        """Page id of the leaf that would contain the key tuple ``key``."""
+    def _prev_leaf(self, page_id: int) -> int:
+        """The page id before leaf ``page_id`` in the run, -1 at the start."""
+        return page_id - 1 if page_id > self.leaf_first else -1
+
+    def _descend(self, key: Tuple[int, ...]) -> Tuple[int, LeafFrame]:
+        """(page id, frame) of the leaf that would contain the key tuple."""
         page_id = self.root_page
         for _ in range(self.height - 1):
             keys, children = self.disk.read_decoded(page_id, _internal_frame)
             # Last child whose separator <= key; first child when below all.
             position = bisect.bisect_right(keys, key) - 1
             page_id = children[position if position > 0 else 0]
-        return page_id
+        return page_id, self._leaf(page_id)
+
+    def _at_or_after(
+        self, page_id: int, frame: LeafFrame, position: int
+    ) -> Optional[Tuple[DeweyId, bytes]]:
+        """The entry at ``position`` of the leaf, or the first one after
+        the leaf's end; None past the last leaf."""
+        while position >= len(frame.keys):
+            page_id = self._next_leaf(page_id)
+            if page_id == -1:
+                return None
+            frame = self._leaf(page_id)
+            position = 0
+        return frame.entry(position)
+
+    def _before(
+        self, page_id: int, frame: LeafFrame, position: int
+    ) -> Optional[Tuple[DeweyId, bytes]]:
+        """The entry just before ``position`` of the leaf, found in earlier
+        leaves at the leaf's start; None before the first leaf."""
+        while position == 0:
+            page_id = self._prev_leaf(page_id)
+            if page_id == -1:
+                return None
+            frame = self._leaf(page_id)
+            position = len(frame.keys)
+        return frame.entry(position - 1)
 
     # -- queries -----------------------------------------------------------------------
 
-    def ceiling(self, key: DeweyId) -> Optional[Tuple[DeweyId, bytes]]:
-        """Smallest entry with entry key >= ``key``."""
+    def ceiling(self, key: DeweyId, *, with_predecessor: bool = False):
+        """Smallest entry with entry key >= ``key``.
+
+        With ``with_predecessor``, the pair ``(predecessor(key),
+        ceiling(key))`` from the same descent: the ceiling is at the
+        bisected position and the predecessor just before it, so a second
+        leaf is read only when the position is at a leaf edge.
+        """
         target = key.components
-        page_id = self._descend(target)
-        while page_id != -1:
-            keys, entries, _, _ = self._leaf(page_id)
-            position = bisect.bisect_left(keys, target)
-            if position < len(entries):
-                return entries[position]
-            _, page_id = self._leaf_neighbors(page_id)
-        return None
+        page_id, frame = self._descend(target)
+        position = bisect.bisect_left(frame.keys, target)
+        after = self._at_or_after(page_id, frame, position)
+        if not with_predecessor:
+            return after
+        return self._before(page_id, frame, position), after
 
     def strictly_greater(self, key: DeweyId) -> Optional[Tuple[DeweyId, bytes]]:
         """Smallest entry with entry key > ``key``."""
         target = key.components
-        page_id = self._descend(target)
-        while page_id != -1:
-            keys, entries, _, _ = self._leaf(page_id)
-            position = bisect.bisect_right(keys, target)
-            if position < len(entries):
-                return entries[position]
-            _, page_id = self._leaf_neighbors(page_id)
-        return None
+        page_id, frame = self._descend(target)
+        return self._at_or_after(
+            page_id, frame, bisect.bisect_right(frame.keys, target)
+        )
 
     def predecessor(self, key: DeweyId) -> Optional[Tuple[DeweyId, bytes]]:
         """Largest entry with entry key < ``key``."""
         target = key.components
-        page_id = self._descend(target)
-        while page_id != -1:
-            keys, entries, _, _ = self._leaf(page_id)
-            position = bisect.bisect_left(keys, target)
-            if position > 0:
-                return entries[position - 1]
-            page_id, _ = self._leaf_neighbors(page_id)
-        return None
+        page_id, frame = self._descend(target)
+        return self._before(
+            page_id, frame, bisect.bisect_left(frame.keys, target)
+        )
 
     def longest_common_prefix(self, key: DeweyId) -> int:
         """Length of the longest prefix of ``key`` shared with any tree key.
@@ -381,14 +443,14 @@ class BTree:
         This is the paper's Section 4.3.2 probe: the smallest stored ID
         >= ``key`` and its predecessor are the only candidates for the
         longest shared prefix, because the leaves are in Dewey order.
+        Both come from one descent.
         """
-        best = 0
-        after = self.ceiling(key)
-        if after is not None:
-            best = max(best, key.common_prefix_length(after[0]))
-        before = self.predecessor(key)
+        before, after = self.ceiling(key, with_predecessor=True)
+        best = 0 if after is None else key.common_prefix_length(after[0])
         if before is not None:
-            best = max(best, key.common_prefix_length(before[0]))
+            shared = key.common_prefix_length(before[0])
+            if shared > best:
+                return shared
         return best
 
     def range_scan(
@@ -397,19 +459,22 @@ class BTree:
         """Entries with low <= key < high_exclusive, in order."""
         low_key = low.components
         high_key = high_exclusive.components if high_exclusive is not None else None
-        page_id = self._descend(low_key)
-        while page_id != -1:
-            keys, entries, _, _ = self._leaf(page_id)
+        page_id, frame = self._descend(low_key)
+        while True:
+            keys = frame.keys
             start = bisect.bisect_left(keys, low_key)
             stop = (
                 len(keys)
                 if high_key is None
                 else max(start, bisect.bisect_left(keys, high_key))
             )
-            yield from entries[start:stop]
+            yield from frame.entries(start, stop)
             if stop < len(keys):
                 return
-            _, page_id = self._leaf_neighbors(page_id)
+            page_id = self._next_leaf(page_id)
+            if page_id == -1:
+                return
+            frame = self._leaf(page_id)
 
     def scan_subtree(self, prefix: DeweyId) -> Iterator[Tuple[DeweyId, bytes]]:
         """All entries whose key has ``prefix`` as a (non-strict) prefix."""

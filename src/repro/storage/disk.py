@@ -98,11 +98,15 @@ class BufferPool:
         return False
 
     def frame(self, page_id: int, decode: Callable, data: bytes):
-        """The frame ``decode`` made of exactly ``data``, else ``_NO_FRAME``."""
+        """The frame ``decode`` made of exactly ``data``, else ``_NO_FRAME``.
+
+        Serving a frame is an access: the page becomes most recently used.
+        """
         frames = self._pages.get(page_id)
         if frames is not None:
             kept = frames.get(decode)
             if kept is not None and kept[0] is data:
+                self._pages.move_to_end(page_id)
                 return kept[1]
         return _NO_FRAME
 
@@ -413,20 +417,24 @@ class SimulatedDisk:
     def read_decoded(self, page_id: int, decode: Callable[[bytes], T]) -> T:
         """``decode(read(page_id))``, decoded once per pool residency.
 
-        The page is read exactly as :meth:`read` reads it — same hit/miss
-        and sequential/random accounting, fault injection, checksum and
-        retries.  The result is then the frame kept on the page's pool
-        entry for ``decode`` if it was decoded from the very bytes just
-        read, else a fresh decode that is kept for the next caller.
-        Frames are shared: callers must not mutate them.
+        The page is accounted exactly as :meth:`read` accounts it — same
+        hit/miss and sequential/random counts, fault injection, checksum
+        and retries.  A resident page with a frame ``decode`` made of its
+        current bytes is a pool hit that returns that frame.  Anything
+        else goes through :meth:`read`, and the fresh decode of what it
+        returns is kept for the next caller.  Frames are shared: callers
+        must not mutate them.
         """
-        data = self.read(page_id)
+        self._check_page_id(page_id)
         with self._lock:
-            frame = self.pool.frame(page_id, decode, data)
-        if frame is _NO_FRAME:
-            frame = decode(data)
-            with self._lock:
-                self.pool.keep(page_id, decode, data, frame)
+            frame = self.pool.frame(page_id, decode, self.pages[page_id])
+            if frame is not _NO_FRAME:
+                self.stats.record_hit()
+                return frame
+        data = self.read(page_id)
+        frame = decode(data)
+        with self._lock:
+            self.pool.keep(page_id, decode, data, frame)
         return frame
 
     def pooled_frames(self) -> list:

@@ -225,9 +225,10 @@ class ListDirectory:
 def page_records(page: bytes) -> List[bytes]:
     """The record bodies of one list page, in order.
 
-    The only parser of the list page format, ``varint count ‖ (varint
-    length ‖ record)*``: list scans and HDIL's external B+-tree leaves
-    (:func:`repro.index.hdil.decode_list_page`) both read pages through it.
+    The list scans' parser of the list page format, ``varint count ‖
+    (varint length ‖ record)*``.  HDIL's external B+-tree leaves frame the
+    same records without slicing them
+    (:func:`repro.index.hdil.list_page_frame`).
     """
     count, reader = unpack_page(page)
     offset = reader.offset

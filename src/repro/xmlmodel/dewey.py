@@ -274,27 +274,37 @@ class DeweyId:
         Truncated or malformed bytes raise :class:`DeweyError`; bytes after
         the ID are left for the caller.
         """
-        try:
-            count = data[offset]
-            pos = offset + 1
-            if count > 0x7F:
-                count, pos = varint_tail(data, pos, count)
-            if count == 0:
-                raise DeweyError("encoded Dewey ID has zero components")
-            comps = []
-            for _ in range(count):
-                value = data[pos]
-                pos += 1
-                if value > 0x7F:
-                    value, pos = varint_tail(data, pos, value)
-                comps.append(value)
-        except IndexError:
-            raise DeweyError("truncated varint") from None
-        return _trusted(tuple(comps)), pos
+        components, pos = decode_components(data, offset)
+        return _trusted(components), pos
 
     def encoded_size(self) -> int:
         """Size in bytes of :meth:`encode`'s output (for space accounting)."""
         return len(self.encode())
+
+
+def decode_components(data: bytes, offset: int = 0) -> Tuple[Tuple[int, ...], int]:
+    """:meth:`DeweyId.decode` without the object: ``(components, next_offset)``.
+
+    What a B+-tree frame keeps of each key.  Truncated or malformed bytes
+    raise :class:`DeweyError`.
+    """
+    try:
+        count = data[offset]
+        pos = offset + 1
+        if count > 0x7F:
+            count, pos = varint_tail(data, pos, count)
+        if count == 0:
+            raise DeweyError("encoded Dewey ID has zero components")
+        comps = []
+        for _ in range(count):
+            value = data[pos]
+            pos += 1
+            if value > 0x7F:
+                value, pos = varint_tail(data, pos, value)
+            comps.append(value)
+    except IndexError:
+        raise DeweyError("truncated varint") from None
+    return tuple(comps), pos
 
 
 _new = object.__new__

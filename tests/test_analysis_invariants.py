@@ -21,7 +21,7 @@ from repro.analysis.invariants import (
 from repro.config import StorageParams
 from repro.engine import XRankEngine
 from repro.index.postings import Posting
-from repro.storage.btree import BTree, _decode_leaf, _encode_leaf
+from repro.storage.btree import BTree, LeafFrame, _decode_leaf, _encode_leaf
 from repro.storage.deweycodec import CODECS
 from repro.storage.disk import SimulatedDisk
 from repro.xmlmodel.dewey import DeweyId
@@ -315,17 +315,26 @@ def test_divergent_evaluator_detected(engine):
 
 def test_frames_match_fresh_decodes_and_a_planted_one_is_caught(engine):
     assert check_index_agreement(engine) == []  # the query batch warms pools
-    disk = engine.index("rdil").disk
-    frames = disk.pooled_frames()
-    assert frames
     assert check_frames(engine) == []
-    page_id, decode, data, frame = frames[0]
-    try:
-        disk.pool.keep(page_id, decode, data, "stale")
-        violations = check_frames(engine)
-        assert [v.location for v in violations] == [f"rdil page {page_id}"]
-    finally:
-        disk.pool.keep(page_id, decode, data, frame)
+    # Owned (RDIL) and external (HDIL) leaves: plant a frame of the right
+    # shape over the right bytes whose last key is one child too deep.
+    for kind in ("rdil", "hdil"):
+        disk = engine.index(kind).disk
+        leaves = [
+            kept for kept in disk.pooled_frames()
+            if isinstance(kept[3], LeafFrame) and kept[3].keys
+        ]
+        assert leaves, kind
+        page_id, decode, data, frame = leaves[0]
+        wrong = frame._replace(keys=frame.keys[:-1] + [frame.keys[-1] + (0,)])
+        assert wrong.entries()[:-1] == frame.entries()[:-1]
+        try:
+            disk.pool.keep(page_id, decode, data, wrong)
+            violations = check_frames(engine)
+            assert [v.location for v in violations] == [f"{kind} page {page_id}"]
+        finally:
+            disk.pool.keep(page_id, decode, data, frame)
+        assert check_frames(engine) == []
 
 
 def test_single_kind_engine_skips_agreement():

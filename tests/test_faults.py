@@ -9,6 +9,8 @@ rule.  The end-to-end storm lives in ``tests/test_faults_chaos.py``.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.analysis.linter import Linter
@@ -39,6 +41,7 @@ from repro.faults import (
 )
 from repro.service.breaker import FALLBACK_KIND, CircuitBreaker
 from repro.service.client import ServiceClient
+from repro.storage import checksum as checksum_module
 from repro.storage.checksum import checksum_frame, crc32c
 from repro.storage.disk import SimulatedDisk
 from repro.storage.listfile import ListDirectory
@@ -143,6 +146,37 @@ class TestChecksum:
         frame = checksum_frame(b"abc")
         assert len(frame) == 4
         assert int.from_bytes(frame, "little") == crc32c(b"abc")
+
+    def test_long_inputs_match_the_byte_loop(self):
+        """Snapshot-sized inputs take the vectorized path; its CRC must be
+        the byte loop's, bit for bit, or old snapshots stop verifying."""
+        table = []
+        for byte in range(256):
+            register = byte
+            for _ in range(8):
+                register = (register >> 1) ^ 0x82F63B78 if register & 1 else register >> 1
+            table.append(register)
+
+        def byte_loop(data, crc=0):
+            register = crc ^ 0xFFFFFFFF
+            for byte in data:
+                register = table[(register ^ byte) & 0xFF] ^ (register >> 8)
+            return register ^ 0xFFFFFFFF
+
+        rng = random.Random(32)
+        threshold, lanes = checksum_module._VECTOR_MIN, checksum_module._LANES
+        for length in (threshold - 1, threshold, threshold + 1,
+                       lanes * 97 + lanes - 1, 300_001):
+            data = rng.randbytes(length)
+            for start in (0, 0xDEADBEEF):
+                expected = byte_loop(data, start)
+                assert crc32c(data, start) == expected, length
+                assert crc32c(bytearray(data), start) == expected, length
+                assert crc32c(memoryview(data), start) == expected, length
+            # Continuation across the two paths.
+            cut = length // 3
+            assert crc32c(data[cut:], crc32c(data[:cut])) == byte_loop(data)
+        assert crc32c(bytes(threshold)) == byte_loop(bytes(threshold))
 
 
 # -- SimulatedDisk under faults ----------------------------------------------------

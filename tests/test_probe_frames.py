@@ -21,7 +21,7 @@ from repro.config import StorageParams, XRankConfig
 from repro.datasets.dblp import generate_dblp
 from repro.datasets.textgen import PlantedKeywords
 from repro.engine import XRankEngine
-from repro.index.hdil import decode_list_page
+from repro.index.hdil import decode_list_page, list_page_frame
 from repro.obs.profile import QueryProfile, activate
 from repro.storage.btree import BTree
 from repro.storage.disk import SimulatedDisk
@@ -96,11 +96,13 @@ class TestDecodeCount:
 
             return decode
 
+        # Every parse of a page a probe reads goes through one of these:
+        # internal nodes, owned leaves, and each external tree's decoder.
         monkeypatch.setattr(
-            btree_module, "_decode_internal", counting(btree_module._decode_internal)
+            btree_module, "_internal_frame", counting(btree_module._internal_frame)
         )
         monkeypatch.setattr(
-            btree_module, "_decode_leaf", counting(btree_module._decode_leaf)
+            btree_module, "_leaf_frame", counting(btree_module._leaf_frame)
         )
         for tree in index.btrees.values():
             if tree.leaf_decoder is not None:
@@ -133,13 +135,13 @@ class TestDecodeCount:
         _, queries = corpus
         index = engine.index("rdil")
         decodes = []
-        decode_leaf = btree_module._decode_leaf
+        leaf_frame = btree_module._leaf_frame
 
         def counting(page):
             decodes.append(page)
-            return decode_leaf(page)
+            return leaf_frame(page)
 
-        monkeypatch.setattr(btree_module, "_decode_leaf", counting)
+        monkeypatch.setattr(btree_module, "_leaf_frame", counting)
         frameless(monkeypatch)
         index.reset_measurement(cold_cache=True)
         engine.search(queries[0], m=10, kind="rdil")
@@ -202,6 +204,24 @@ class TestSnapshotBytes:
         restored = XRankEngine.load(tmp_path / "after.snapshot")
         assert answers(restored, queries, kinds=("rdil", "hdil")) == expected
 
+    def test_engine_files_naming_the_list_decoder_load_with_frames(
+        self, corpus, tmp_path
+    ):
+        """HDIL trees in engine files written before leaf frames name
+        ``decode_list_page``; they load with ``list_page_frame`` and
+        answer as before."""
+        _, queries = corpus
+        engine = build(corpus)
+        expected = answers(engine, queries, kinds=("hdil",))
+        for tree in engine.index("hdil").btrees.values():
+            assert tree.leaf_decoder is list_page_frame
+            tree.leaf_decoder = decode_list_page
+        engine.save(tmp_path / "old.snapshot")
+        restored = XRankEngine.load(tmp_path / "old.snapshot")
+        trees = restored.index("hdil").btrees.values()
+        assert trees and all(t.leaf_decoder is list_page_frame for t in trees)
+        assert answers(restored, queries, kinds=("hdil",)) == expected
+
     def test_pooled_frames_are_not_pickled(self, corpus, monkeypatch):
         """Warm indexes pickle exactly as ones that never kept a frame.
 
@@ -232,7 +252,7 @@ def test_kept_frames_do_not_keep_a_dropped_index_alive():
         (keys[first], page_id)
         for page_id, first in zip(list_file.page_ids, list_file.page_boundaries)
     ]
-    tree = BTree.build_over_pages(disk, page_index, decode_list_page, len(keys))
+    tree = BTree.build_over_pages(disk, page_index, list_page_frame, len(keys))
     assert tree.height > 1 and len(list_file.page_ids) > 1
     for key in keys:
         assert tree.ceiling(key)[0] == key
