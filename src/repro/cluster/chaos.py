@@ -147,11 +147,12 @@ def run_cluster_chaos(
     the fault-free single-node oracle; ``report.ok`` is False iff a
     silent wrong answer or an untyped error occurred.
 
-    Revivals split (seeded, ``rejoin_rate``) between a listener restart
-    (the engine never left memory) and the full crash path — the worker
-    object is discarded and :meth:`LocalCluster.restart_from_snapshot`
-    recovers the shard from its on-disk snapshot store, re-verifies
-    global-stats coverage, and re-registers with the coordinator.  A
+    Revivals split (seeded, ``rejoin_rate``) between a fresh replica
+    process forked from the worker's in-memory image and the full crash
+    path — the worker object is discarded and
+    :meth:`LocalCluster.restart_from_snapshot` recovers the shard from
+    its on-disk snapshot store, re-verifies global-stats coverage, and
+    re-registers with the coordinator.  A
     rejoined replica's answers flow through the same oracle
     classification, so a recovery that resurrected wrong state would
     surface as a ``mismatch`` violation.

@@ -1,24 +1,27 @@
-"""An in-process cluster: real HTTP workers + coordinator, one call away.
+"""A local cluster: real HTTP replica processes + coordinator, one call away.
 
 :class:`LocalCluster` is the deployment harness the identity battery,
 the failover tests, the chaos runs and the ``repro cluster`` CLI all
 share.  It runs the full production path — LPT shard plan, global
 statistics exchange, per-shard engine builds with injected ElemRanks,
-one real HTTP server per replica on an ephemeral port, scatter-gather
-coordinator over real :class:`~repro.service.client.ServiceClient`
-RPCs — inside one process, so a 4-shard × 2-replica cluster boots in a
-test in well under a second and there is no mock transport whose
-behaviour could drift from production's.
+one forked replica process per shard replica serving HTTP on an
+ephemeral port, scatter-gather coordinator over real
+:class:`~repro.service.client.ServiceClient` RPCs — on one machine, so
+a 4-shard × 2-replica cluster boots in a test in about a second and
+there is no mock transport whose behaviour could drift from
+production's.
 
-Replicas of a shard share the (read-only, immutable once built) engine
-object by default; pass ``independent_engines=True`` to round-trip each
-extra replica through an engine snapshot instead, which is exactly the
-bring-up path a separate worker process uses.
+The calling process builds every shard engine once and keeps it as the
+image its replicas fork from; shards answer in parallel, each replica
+in its own interpreter.  :meth:`LocalCluster.kill` crashes a replica
+process, :meth:`LocalCluster.restart` forks a fresh one from the image,
+and :meth:`LocalCluster.restart_from_snapshot` first recovers the image
+from the shard's snapshot store.  Replicas need ``os.fork``; none
+outlives the cluster's :meth:`~LocalCluster.stop` or its parent process.
 """
 
 from __future__ import annotations
 
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -31,7 +34,7 @@ from .worker import DEFAULT_CLUSTER_KINDS, ShardWorker, build_shard_engine
 
 
 class LocalCluster:
-    """A started-on-demand sharded/replicated cluster in one process."""
+    """A started-on-demand sharded/replicated cluster of replica processes."""
 
     def __init__(
         self,
@@ -40,7 +43,6 @@ class LocalCluster:
         replicas: int = 1,
         kinds: Sequence[str] = DEFAULT_CLUSTER_KINDS,
         config: Optional[XRankConfig] = None,
-        independent_engines: bool = False,
         coordinator_options: Optional[Dict[str, object]] = None,
         worker_options: Optional[Dict[str, object]] = None,
         snapshot_root: Optional[str] = None,
@@ -110,34 +112,12 @@ class LocalCluster:
                 ShardWorker(
                     engine,
                     shard_id=shard_id,
-                    replica_id=0,
+                    replica_id=replica_id,
                     snapshot_store=shard_store,
                     **self.worker_options,
                 )
+                for replica_id in range(replicas)
             ]
-            for replica_id in range(1, replicas):
-                if independent_engines:
-                    with tempfile.TemporaryDirectory() as scratch:
-                        snapshot = Path(scratch) / "engine"
-                        engine.save(snapshot)
-                        group.append(
-                            ShardWorker.from_snapshot(
-                                snapshot,
-                                shard_id=shard_id,
-                                replica_id=replica_id,
-                                **self.worker_options,
-                            )
-                        )
-                else:
-                    group.append(
-                        ShardWorker(
-                            engine,
-                            shard_id=shard_id,
-                            replica_id=replica_id,
-                            snapshot_store=shard_store,
-                            **self.worker_options,
-                        )
-                    )
             self.workers.append(group)
         self.coordinator: Optional[ClusterCoordinator] = None
 
@@ -168,10 +148,17 @@ class LocalCluster:
     # -- lifecycle -------------------------------------------------------------------
 
     def start(self) -> "LocalCluster":
-        """Start every replica's HTTP server and wire up the coordinator."""
-        for group in self.workers:
-            for worker in group:
-                worker.start()
+        """Fork every replica process and wire up the coordinator.
+
+        The replicas fork before the coordinator exists, so none inherits
+        its scatter threads or client connections."""
+        try:
+            for group in self.workers:
+                for worker in group:
+                    worker.start()
+        except BaseException:
+            self.stop()  # reap the replicas that did start
+            raise
         self.coordinator = ClusterCoordinator(
             [
                 [self._endpoint(worker) for worker in group]
@@ -206,12 +193,12 @@ class LocalCluster:
         raise ClusterError(f"no replica {replica_id} in shard {shard_id}")
 
     def kill(self, shard_id: int, replica_id: int) -> None:
-        """Drop one replica's listener, as a crashed process would."""
+        """Crash one replica process (``SIGKILL``, then reap it)."""
         self.worker(shard_id, replica_id).kill()
 
     def restart(self, shard_id: int, replica_id: int) -> ReplicaEndpoint:
-        """Bring a killed replica back (new ephemeral port) and announce
-        its new address to the coordinator."""
+        """Fork a killed replica afresh from its in-memory image (new
+        ephemeral port) and announce its address to the coordinator."""
         worker = self.worker(shard_id, replica_id)
         worker.start()
         endpoint = self._endpoint(worker)
@@ -225,9 +212,9 @@ class LocalCluster:
         """Resurrect a replica from its shard's snapshot store.
 
         The hard-crash restart path: unlike :meth:`restart` (which
-        reuses the still-in-memory engine, i.e. a listener blip), this
-        discards the old worker object entirely and goes through the
-        full crash→recover→re-verify→re-register cycle —
+        forks from the still-in-memory engine), this discards the old
+        worker object entirely and goes through the full
+        crash→recover→re-verify→re-register cycle —
         :meth:`~repro.cluster.worker.ShardWorker.rejoin_from_store`
         recovers the newest intact generation, re-checks global-stats
         coverage, and the fresh worker's new endpoint is announced to

@@ -10,6 +10,17 @@ breaker) and :class:`~repro.service.server.XRankHTTPServer`.  The
 coordinator talks to workers over the same ``/search`` JSON protocol any
 client uses; there is no separate RPC stack to harden.
 
+Each running replica is a forked process.  The worker object keeps the
+built engine and service as the replica's *image*: :meth:`ShardWorker.
+start` forks a child that serves its copy-on-write view of that image,
+so shards search in parallel instead of taking turns on one interpreter
+lock, and :meth:`ShardWorker.kill` is a real crash (``SIGKILL``; the
+kernel closes the replica's sockets).  In-process callers — snapshots,
+:meth:`ShardWorker.persist`, measurements that time a shard search
+without the wire — use the image, which never diverges from the replica
+because cluster serving is read-only.  A replica whose parent process
+dies exits on its own.
+
 Replica bring-up rides on engine snapshots: ``ShardWorker.snapshot``
 persists the built engine (indexes, incremental delta, tombstones and
 all), and :meth:`ShardWorker.from_snapshot` restores a fresh replica
@@ -19,15 +30,16 @@ cluster chaos harness use to resurrect killed replicas.
 
 from __future__ import annotations
 
-import socket
+import gc
+import os
+import select
+import signal
 import sys
-import threading
 from typing import Dict, Optional, Sequence
 
 from ..config import XRankConfig
 from ..engine import XRankEngine
 from ..errors import ClusterError
-from ..service.concurrency import GuardedLock
 from ..service.core import XRankService
 from ..service.server import XRankHTTPServer
 from ..xmlmodel.nodes import Document
@@ -37,47 +49,30 @@ from .stats import GlobalStats
 #: DIL so the per-worker circuit breaker has its fallback in place.
 DEFAULT_CLUSTER_KINDS = ("dil", "hdil")
 
+#: How long :meth:`ShardWorker.start` waits for a forked replica to
+#: report its port before it kills the replica and raises.
+_START_TIMEOUT_S = 30.0
+
 
 class _WorkerHTTPServer(XRankHTTPServer):
-    """An :class:`XRankHTTPServer` that can sever live connections.
+    """A replica process's HTTP server; it outlives no parent.
 
-    ``server_close()`` only closes the *listening* socket; established
-    keep-alive connections keep being serviced by their handler threads,
-    so a worker stopped that way would keep answering pooled clients —
-    nothing like a crashed process.  Client sockets are therefore
-    tracked so :meth:`close_client_connections` can shut them down,
-    giving ``ShardWorker.kill()`` crash-realistic semantics (in-flight
-    and pooled connections die with the worker)."""
+    ``serve_forever`` calls :meth:`service_actions` after every request
+    and at least once per poll interval, so a replica whose parent died
+    (``getppid()`` no longer names it) exits within half a second
+    instead of serving a cluster that no longer exists."""
 
-    def __init__(self, address, service):
+    def __init__(self, address, service, parent_pid: int):
         super().__init__(address, service)
-        self._sockets_lock = GuardedLock("worker.sockets")
-        self._client_sockets = set()  # guarded by: self._sockets_lock
+        self._parent_pid = parent_pid
 
-    def process_request(self, request, client_address):
-        with self._sockets_lock:
-            self._client_sockets.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        with self._sockets_lock:
-            self._client_sockets.discard(request)
-        super().shutdown_request(request)
-
-    def close_client_connections(self) -> None:
-        """Sever every established connection (handler threads clean up)."""
-        with self._sockets_lock:
-            sockets = list(self._client_sockets)
-        for request in sockets:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # already closing on its own
+    def service_actions(self) -> None:
+        if os.getppid() != self._parent_pid:
+            os._exit(0)
 
     def handle_error(self, request, client_address):
-        # Severed sockets (kill()) surface as connection resets in their
-        # handler threads; that is the intended crash simulation, not an
-        # error worth a traceback on stderr.
+        # A client that hangs up mid-response (a coordinator that gave up
+        # or died) is not worth a traceback on the shared stderr.
         exc = sys.exc_info()[1]
         if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
             return
@@ -110,7 +105,8 @@ def build_shard_engine(
 
 
 class ShardWorker:
-    """One shard replica: engine + service + HTTP server on its own port."""
+    """One shard replica: engine + service image, served by a forked
+    process on its own port."""
 
     def __init__(
         self,
@@ -143,8 +139,8 @@ class ShardWorker:
         )
         self._host = host
         self._requested_port = port
-        self._server: Optional[_WorkerHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._pid: Optional[int] = None
+        self._port: Optional[int] = None
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -154,7 +150,7 @@ class ShardWorker:
 
     @property
     def running(self) -> bool:
-        return self._server is not None
+        return self._pid is not None
 
     @property
     def host(self) -> str:
@@ -162,40 +158,87 @@ class ShardWorker:
 
     @property
     def port(self) -> int:
-        if self._server is None:
+        if self._pid is None:
             raise ClusterError(f"worker {self.name} is not running")
-        return self._server.server_address[1]
+        return self._port
+
+    @property
+    def pid(self) -> int:
+        """The replica process's id."""
+        if self._pid is None:
+            raise ClusterError(f"worker {self.name} is not running")
+        return self._pid
 
     def start(self) -> "ShardWorker":
-        """Bind (ephemeral port by default) and serve on a daemon thread."""
-        if self._server is not None:
+        """Fork the replica process and wait until it listens.
+
+        The child binds (ephemeral port by default), reports the bound
+        port over a pipe and serves until it is killed or its parent
+        dies; it leaves only through ``os._exit``.
+        """
+        if self._pid is not None:
             return self
-        self._server = _WorkerHTTPServer(
-            (self._host, self._requested_port), self.service
-        )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"xrank-{self.name}",
-            daemon=True,
-        )
-        self._thread.start()
+        if not hasattr(os, "fork"):
+            raise ClusterError(
+                f"worker {self.name}: a replica is a forked process and "
+                "this platform has no os.fork"
+            )
+        parent_pid = os.getpid()
+        read_fd, write_fd = os.pipe()
+        # The child keeps only this thread, so it must need no lock that
+        # another parent thread could hold: it serves ``self.service``,
+        # which no parent thread uses while the cluster is serving.
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            self._serve_as_replica(write_fd, parent_pid)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            ready, _, _ = select.select([pipe], [], [], _START_TIMEOUT_S)
+            reply = pipe.readline() if ready else b""
+        reply = reply.decode("utf-8", "replace").strip()
+        if not reply.isdigit():
+            _reap(pid)
+            raise ClusterError(
+                f"worker {self.name} failed to start: "
+                f"{reply or 'no port reported by the replica'}"
+            )
+        self._pid, self._port = pid, int(reply)
         return self
 
-    def stop(self) -> None:
-        """Shut the HTTP server down; the engine stays queryable in-process."""
-        server, thread = self._server, self._thread
-        self._server = None
-        self._thread = None
-        if server is not None:
-            server.shutdown()
-            server.close_client_connections()
-            server.server_close()
-        if thread is not None:
-            thread.join(timeout=5)
+    def _serve_as_replica(self, write_fd: int, parent_pid: int) -> None:
+        """The child's whole life: bind, report the port, serve, exit."""
+        try:
+            # The inherited image is permanent here: keeping the collector
+            # off its objects keeps their pages shared with the parent.
+            gc.freeze()
+            try:
+                server = _WorkerHTTPServer(
+                    (self._host, self._requested_port),
+                    self.service,
+                    parent_pid,
+                )
+            except OSError as exc:
+                os.write(write_fd, f"{exc}\n".encode("utf-8"))
+                return
+            os.write(write_fd, f"{server.server_address[1]}\n".encode())
+            os.close(write_fd)
+            server.serve_forever()
+        finally:
+            os._exit(0)
 
     def kill(self) -> None:
-        """Chaos-harness alias: drop the listener like a crashed process."""
-        self.stop()
+        """Crash the replica: ``SIGKILL`` its process, then reap it.
+
+        In-flight and pooled connections die with it; the image stays
+        queryable in-process and :meth:`start` forks a fresh replica."""
+        pid, self._pid, self._port = self._pid, None, None
+        if pid is not None:
+            _reap(pid)
+
+    def stop(self) -> None:
+        """Stop serving; the replica process is killed and reaped."""
+        self.kill()
 
     # -- snapshots (replica bring-up) ----------------------------------------------
 
@@ -310,3 +353,14 @@ class ShardWorker:
             "kinds": sorted(self.engine._indexes),
         }
 
+
+def _reap(pid: int) -> None:
+    """``SIGKILL`` one replica process and wait for it to exit."""
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # exited on its own; still a zombie until reaped
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass  # already reaped

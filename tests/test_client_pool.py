@@ -59,8 +59,8 @@ class TestKeepAlivePool:
     def test_stale_pooled_connection_falls_back_transparently(self):
         # A plain bounced server would keep serving established
         # keep-alive sockets from its handler threads; ShardWorker.kill
-        # severs them, which is exactly the staleness a pooled client
-        # must absorb.
+        # ends the replica's process and with it those sockets, which is
+        # exactly the staleness a pooled client must absorb.
         from repro.cluster.worker import ShardWorker
 
         engine = XRankEngine()

@@ -77,14 +77,34 @@ class TestIdentityDetails:
                 assert response.degraded is False
                 assert response.missing_shards == []
 
-    def test_independent_engines_replicas_identical(self, corpus, oracle):
-        # Replica bring-up via snapshot round-trip must not change answers.
+    def test_snapshot_restored_replicas_identical(
+        self, corpus, oracle, tmp_path
+    ):
+        # Replica bring-up via snapshot recovery must not change answers:
+        # every replica, each restored from its shard's store, answers
+        # every query exactly as the single-node oracle does.
         specs, queries = corpus
         with LocalCluster(
-            specs, num_shards=2, replicas=2, independent_engines=True
+            specs,
+            num_shards=2,
+            replicas=2,
+            snapshot_root=str(tmp_path),
         ) as cluster:
-            query = queries[0]
-            expected = oracle.search(query, m=8).to_dict()["results"]
-            assert (
-                cluster.search(query, m=8).to_dict()["results"] == expected
-            )
+            for group in cluster.workers:
+                for worker in list(group):
+                    cluster.restart_from_snapshot(
+                        worker.shard_id, worker.replica_id
+                    )
+            assert cluster.rejoins == 4
+            for replica_id in range(2):
+                # Crash every other replica, so each query is answered by
+                # replica ``replica_id`` of every shard.
+                for shard_id in range(cluster.num_shards):
+                    cluster.kill(shard_id, 1 - replica_id)
+                for query in queries:
+                    expected = oracle.search(query, m=8).to_dict()["results"]
+                    actual = cluster.search(query, m=8, deadline_ms=30000)
+                    assert actual.degraded is False
+                    assert actual.to_dict()["results"] == expected, query
+                for shard_id in range(cluster.num_shards):
+                    cluster.restart(shard_id, 1 - replica_id)

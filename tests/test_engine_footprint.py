@@ -114,6 +114,9 @@ class TestNoPostingsAfterBuild:
         with cluster:
             assert cluster.search(queries[0], m=5).to_dict()["results"]
             for group in cluster.workers:
+                # The cluster search ran in the replica processes; search
+                # the parent's image too, so the walk sees a searched engine.
+                group[0].service.search(queries[0], m=5)
                 assert reachable(group[0].engine, Posting) == 0
 
     def test_snapshot_with_a_posting_map_loads_without_it(

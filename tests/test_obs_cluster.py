@@ -9,6 +9,7 @@ import pytest
 from repro.cluster.local import LocalCluster
 from repro.obs import Tracer, render_trace, validate_trace
 from repro.obs.render import traces_canonical_json
+from repro.service.client import ServiceClient
 
 CORPUS = [
     "<doc><p>alpha beta shared one</p></doc>",
@@ -76,12 +77,19 @@ class TestStitchedTrace:
             # traced — but the forwarded context force-samples the
             # request, and the serving replica retains its own segment
             # too (its /traces endpoint stays useful on its own).  The
-            # other replica of the group never saw the query.
+            # other replica of the group never saw the query.  Each
+            # replica is its own process, so its buffer is read over
+            # /traces.
             group_segments = []
             for worker in group:
-                assert worker.service.tracer.sample == "never"
-                group_segments.extend(worker.service.tracer.buffer.traces())
-            assert [s.trace_id for s in group_segments] == [root.trace_id]
+                client = ServiceClient(worker.host, worker.port)
+                try:
+                    retained = client.traces()
+                finally:
+                    client.close()
+                assert retained["tracer"]["sample"] == "never"
+                group_segments.extend(retained["traces"])
+            assert [s["trace_id"] for s in group_segments] == [root.trace_id]
 
     def test_canonical_structure_is_stable_across_fresh_clusters(self):
         documents = []
